@@ -74,12 +74,11 @@ def check_vm_capacity(state, scenario):
     assignment's demand satisfied up to the degradation slack on
     CPU/network and fully on storage."""
     deg = scenario.degradation_fraction
-    by_id = {r.id: r for r in scenario.requests}
     for iid, inst in sorted(state.instances.items()):
         used = inst.vm_type.capacity.scale(0.0)
         for rid, consumed in inst.assigned.items():
             used = used + consumed
-            demand = demand_of(by_id[rid], scenario)
+            demand = demand_of(scenario.request(rid), scenario)
             keep = 1.0 - deg
             if (consumed.storage < demand.storage - _EPS
                     or consumed.cpu < keep * demand.cpu - _EPS
@@ -95,11 +94,10 @@ def check_vm_capacity(state, scenario):
 def check_link_load_consistency(state, scenario):
     """Committed link and cloud loads must equal a from-scratch
     recomputation out of the allocation matrix."""
-    by_id = {r.id: r for r in scenario.requests}
     links = {}
     clouds = {}
     for rid, alloc in state.allocations.items():
-        rate = by_id[rid].rate_pps
+        rate = scenario.request(rid).rate_pps
         for key in alloc.links:
             links[key] = links.get(key, 0.0) + rate
         clouds[alloc.cloud] = clouds.get(alloc.cloud, 0.0) + rate
@@ -141,10 +139,9 @@ def check_cost(state, scenario):
 
 def check_sla(state, scenario):
     """Per-request end-to-end delay within the class SLA bound."""
-    by_id = {r.id: r for r in scenario.requests}
     for rid in sorted(state.allocations):
         bound = scenario.service_class(
-            by_id[rid].class_name).sla_delay_bound
+            scenario.request(rid).class_name).sla_delay_bound
         link_d, comp_d = request_delay(state, scenario, rid)
         if link_d + comp_d > bound + _EPS:
             return False, (rid,)
@@ -234,9 +231,7 @@ def solve_exact(scenario: Scenario,
     smallest assignment vector. Every request must be placed."""
     budget = budget or ExactBudget()
     _enforce_budget(scenario, budget)
-    packet_size = scenario.params.get("packet_size_bytes", 500.0)
-    lists = build_sorted_lists(scenario.topology, scenario.k_paths,
-                               packet_size)
+    lists = build_sorted_lists(scenario.topology, scenario.k_paths)
     requests = sorted(scenario.requests, key=lambda r: r.id)
     deg = scenario.degradation_fraction
     catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,

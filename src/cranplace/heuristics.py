@@ -7,12 +7,12 @@ import heapq
 import math
 import random
 import time
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 from .migration import MigrationParams, try_migrate_for_fit
-from .model import Scenario, ServiceRequest, capacity_fits, demand_of
+from .model import CapacityVector, Scenario, capacity_fits, demand_of
 from .paths import build_sorted_lists, refresh_one
 from .queueing import QueueLoad, md1_delay, mm1_delay
 from .state import Allocation, DelayBreakdown, PlacementState
@@ -70,6 +70,15 @@ class PlacementResult:
                 + self.total_migration_delay)
 
 
+def fit_floor(demand: CapacityVector, degradation: float) -> float:
+    """A `residual_key` below which no residual passes `capacity_fits` for
+    `demand`. Exactly, a fitting residual's total is at least the degraded
+    demand's; the 1e-12 margin exceeds the rounding of both sums for
+    components that are zero or normal floats."""
+    return ((1.0 - degradation) * (demand.cpu + demand.network)
+            + demand.storage) * (1.0 - 1e-12)
+
+
 def sa_iterations(n_requests: int, mode: str) -> int:
     """Best-of-Y sample count: ceil(sqrt(n/20)) for short runs,
     ceil(2*sqrt(n)) for long runs, at least 1."""
@@ -82,15 +91,8 @@ def sa_iterations(n_requests: int, mode: str) -> int:
     raise ValueError(f"unknown SA mode {mode!r}")
 
 
-def release_request(state: PlacementState, request: ServiceRequest):
-    """Free a completed request's VM share, path loads and instance (if it
-    becomes empty). Inverse of admission."""
-    state.release(request.id)
-    return state
-
-
 class _Run:
-    """Single placement run; owns the state and the per-cloud VM indexes."""
+    """Single placement run; owns the state and the launch history."""
 
     def __init__(self, scenario: Scenario, config: HeuristicConfig):
         self.scenario = scenario
@@ -113,63 +115,33 @@ class _Run:
         self.eviction_limit = params.get("migration_eviction_limit", 12)
         self.target_limit = params.get("migration_target_limit")
         self.state = PlacementState(scenario)
-        self.lists = build_sorted_lists(scenario.topology, self.k_paths,
-                                        self.packet_size)
+        self.lists = build_sorted_lists(scenario.topology, self.k_paths)
         self.catalog = sorted(scenario.vm_catalog,
                               key=lambda v: (v.hourly_cost, v.name))
         self.rng = random.Random(config.seed)
         self.cloud_rate = {c.id: c.service_rate
                            for c in scenario.topology.clouds()}
-        # per-cloud VM indexes for the main state
+        # append-only launch history per cloud: the plain scan walks it
+        # and skips retired ids
         self.launch_order: dict[str, list[int]] = {}
-        self.sorted_idx: dict[str, list[tuple[float, int]]] = {}
         self.first_drop_index: int | None = None
         self.breakdown: dict[int, DelayBreakdown] = {}
         self.sa_probe_limit = 8
         self.work = 0
 
-    # -- index maintenance ---------------------------------------------
-    # launch_order is append-only history (the plain scan walks it and
-    # skips retired ids); sorted_idx holds only live instances keyed by
-    # total remaining capacity.
+    def _launch(self, cloud, vm):
+        inst = self.state.launch_instance(cloud, vm)
+        self.launch_order.setdefault(cloud, []).append(inst.id)
+        return inst
 
-    @staticmethod
-    def _inst_key(inst) -> float:
-        r = inst.residual
-        return r.cpu + r.storage + r.network
-
-    def _index_add(self, inst):
-        self.launch_order.setdefault(inst.cloud, []).append(inst.id)
-        insort(self.sorted_idx.setdefault(inst.cloud, []),
-               (self._inst_key(inst), inst.id))
-
-    def _index_remove_sorted(self, inst, old_key):
-        lst = self.sorted_idx[inst.cloud]
-        i = bisect_left(lst, (old_key, inst.id))
-        if i >= len(lst) or lst[i] != (old_key, inst.id):
-            raise RuntimeError("VM index out of sync")
-        lst.pop(i)
-
-    def _index_update(self, inst, old_key):
-        self._index_remove_sorted(inst, old_key)
-        insort(self.sorted_idx[inst.cloud],
-               (self._inst_key(inst), inst.id))
-
-    def _index_retire(self, inst, old_key):
-        self._index_remove_sorted(inst, old_key)
-
-    def _rebuild_indexes(self):
-        self.sorted_idx = {}
-        live = {}
-        for iid in sorted(self.state.instances):
-            inst = self.state.instances[iid]
-            insort(self.sorted_idx.setdefault(inst.cloud, []),
-                   (self._inst_key(inst), inst.id))
-            live.setdefault(inst.cloud, set()).add(iid)
-        for cloud, ids in live.items():
-            seen = set(self.launch_order.setdefault(cloud, []))
-            for iid in sorted(ids - seen):
-                self.launch_order[cloud].append(iid)
+    def _note_launches(self, first_id):
+        """Add the instances a migration launched, ids `first_id` on, that
+        are still live to the launch history."""
+        instances = self.state.instances
+        for iid in range(first_id, self.state._next_instance_id):
+            if iid in instances:
+                self.launch_order.setdefault(instances[iid].cloud,
+                                             []).append(iid)
 
     # -- feasibility ------------------------------------------------------
 
@@ -220,7 +192,7 @@ class _Run:
         kind = self.config.kind
         if kind in SA_KINDS:
             # random-fit: bounded probe scan from a seeded random offset
-            lst = self.sorted_idx.get(cloud, ())
+            lst = self.state.residual_index[cloud]
             if not lst:
                 return None
             start = self.rng.randrange(len(lst))
@@ -239,7 +211,7 @@ class _Run:
                 if capacity_fits(demand, inst.residual, self.degradation):
                     return inst
             return None
-        lst = self.sorted_idx.get(cloud, ())
+        lst = self.state.residual_index[cloud]
         # no instance whose total remaining capacity is below this can fit
         need_key = (1.0 - self.degradation) * (demand.cpu + demand.network) \
             + demand.storage
@@ -263,10 +235,10 @@ class _Run:
 
     # -- committing --------------------------------------------------------
 
-    def _commit(self, state, request, entry, instance) -> Allocation:
-        alloc = state.admit(request, instance.id, entry.id, entry.link_keys)
-        if state is self.state:
-            self._record_delays(alloc)
+    def _commit(self, request, entry, instance) -> Allocation:
+        alloc = self.state.admit(request, instance.id, entry.id,
+                                 entry.link_keys)
+        self._record_delays(alloc)
         return alloc
 
     def _record_delays(self, alloc: Allocation):
@@ -286,42 +258,43 @@ class _Run:
         bd.compute_delay = comp_d
 
     def _main_admit_on_entry(self, request, entry, demand):
-        """Admission attempt on one path entry, updating the indexes."""
+        """Admission attempt on one path entry of the main state."""
         if self._entry_feasible(self.state, request, entry) is None:
             return None
         inst = self._pick_instance(entry.cloud, demand)
-        if inst is not None:
-            old_key = self._inst_key(inst)
-            alloc = self._commit(self.state, request, entry, inst)
-            self._index_update(inst, old_key)
-            return alloc
-        vm = self._launchable_vm(self.state, entry.cloud, demand)
-        if vm is None:
-            return None
-        inst = self.state.launch_instance(entry.cloud, vm)
-        alloc = self._commit(self.state, request, entry, inst)
-        self._index_add(inst)
-        return alloc
+        if inst is None:
+            vm = self._launchable_vm(self.state, entry.cloud, demand)
+            if vm is None:
+                return None
+            inst = self._launch(entry.cloud, vm)
+        return self._commit(request, entry, inst)
 
-    # -- policy used inside migration trials (index-free, any state) ------
+    # -- policy used inside migration trials --------------------------------
 
-    def clone_admitter(self, state, request, exclude_clouds):
+    def trial_admitter(self, state, request, exclude_clouds):
+        """Ascending best fit: the fitting instance with the least total
+        remaining capacity on the first feasible entry, else a new one.
+        Commits with `state.admit`, so no delays are recorded mid-trial,
+        and leaves the launch history to the caller."""
         demand = demand_of(request, self.scenario)
+        floor = fit_floor(demand, self.degradation)
         for entry in self.lists.list_for_bs(request.origin):
             if entry.cloud in exclude_clouds:
                 continue
             if self._entry_feasible(state, request, entry) is None:
                 continue
-            fitting = sorted(
-                (i for i in state.instances_at(entry.cloud)
-                 if capacity_fits(demand, i.residual, self.degradation)),
-                key=lambda i: (self._inst_key(i), i.id))
-            if fitting:
-                return self._commit(state, request, entry, fitting[0])
+            lst = state.residual_index[entry.cloud]
+            for j in range(bisect_left(lst, (floor, -1)), len(lst)):
+                iid = lst[j][1]
+                if capacity_fits(demand, state.instances[iid].residual,
+                                 self.degradation):
+                    return state.admit(request, iid, entry.id,
+                                       entry.link_keys)
             vm = self._launchable_vm(state, entry.cloud, demand)
             if vm is not None:
                 inst = state.launch_instance(entry.cloud, vm)
-                return self._commit(state, request, entry, inst)
+                return state.admit(request, inst.id, entry.id,
+                                   entry.link_keys)
         return None
 
     # -- per-request placement policies ------------------------------------
@@ -355,7 +328,7 @@ class _Run:
             self.work += 1
             ei = rng.randrange(len(entries))
             entry = entries[ei]
-            live = self.sorted_idx.get(entry.cloud, ())
+            live = state.residual_index[entry.cloud]
             slot = rng.randrange(len(live) + 1)
             if slot < len(live):
                 iid = live[slot][1]
@@ -384,17 +357,11 @@ class _Run:
                 if inst is None or not capacity_fits(
                         demand, inst.residual, self.degradation):
                     continue
-                old_key = self._inst_key(inst)
-                alloc = self._commit(state, request, entry, inst)
-                self._index_update(inst, old_key)
-                return alloc
+                return self._commit(request, entry, inst)
             vm = self._launchable_vm(state, entry.cloud, demand)
             if vm is None:
                 continue
-            inst = state.launch_instance(entry.cloud, vm)
-            alloc = self._commit(state, request, entry, inst)
-            self._index_add(inst)
-            return alloc
+            return self._commit(request, entry, self._launch(entry.cloud, vm))
         # sampling found nothing workable; fall back to a plain pass over
         # the entry list before giving up on the request
         for entry in entries:
@@ -404,18 +371,6 @@ class _Run:
         return None
 
     # -- run loop -----------------------------------------------------------
-
-    def _release_now(self, request_id):
-        alloc = self.state.allocations.get(request_id)
-        if alloc is None:
-            return
-        inst = self.state.instances[alloc.instance_id]
-        old_key = self._inst_key(inst)
-        self.state.release(request_id)
-        if alloc.instance_id in self.state.instances:
-            self._index_update(inst, old_key)
-        else:
-            self._index_retire(inst, old_key)
 
     def run(self) -> PlacementResult:
         cfg = self.config
@@ -437,25 +392,26 @@ class _Run:
                 now = request.arrival_time
                 while expiry and expiry[0][0] <= now:
                     _, rid = heapq.heappop(expiry)
-                    self._release_now(rid)
+                    if rid in self.state.allocations:
+                        self.state.release(rid)
             if cfg.kind in BNB_KINDS:
                 alloc = self._place_bnb_request(request)
             else:
                 alloc = self._place_sa_request(request, draws)
             if alloc is None:
                 events: list[tuple[int, float]] = []
-                moved, ok, new_state = try_migrate_for_fit(
-                    self.state, request, self.lists, self.clone_admitter,
+                first_id = self.state._next_instance_id
+                _, ok, _ = try_migrate_for_fit(
+                    self.state, request, self.lists, self.trial_admitter,
                     self.mig_params, self.packet_size, self.eviction_limit,
                     events, self.target_limit)
                 if ok:
-                    self.state = new_state
-                    self._rebuild_indexes()
-                    alloc = new_state.allocations[request.id]
+                    self._note_launches(first_id)
+                    alloc = self.state.allocations[request.id]
                     for rid, delay in events:
                         bd = self.breakdown.setdefault(rid, DelayBreakdown())
                         bd.migration_delay += delay
-                        self._record_delays(new_state.allocations[rid])
+                        self._record_delays(self.state.allocations[rid])
                     self._record_delays(alloc)
             if alloc is None:
                 self.state.drop(request.id)

@@ -244,6 +244,7 @@ class Scenario:
             raise ScenarioError("k_paths must be >= 1")
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
+        self._requests = {r.id: r for r in self.requests}
         for r in self.requests:
             if r.class_name not in self._classes:
                 raise ScenarioError(f"request {r.id}: unknown class "
@@ -264,6 +265,13 @@ class Scenario:
             return self._vms[name]
         except KeyError:
             raise ScenarioError(f"unknown VM type {name!r}") from None
+
+    def request(self, request_id: int) -> ServiceRequest:
+        try:
+            return self._requests[request_id]
+        except KeyError:
+            raise ScenarioError(f"unknown request id {request_id!r}") \
+                from None
 
 
 def demand_of(request: ServiceRequest, scenario: Scenario) -> CapacityVector:

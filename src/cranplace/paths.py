@@ -19,7 +19,6 @@ class PathEntry:
     nodes: tuple[str, ...]
     links: tuple  # Link objects, in traversal order
     current_delay: float = 0.0
-    residual_bw: float = 0.0
 
     @property
     def link_keys(self) -> tuple[tuple[str, str], ...]:
@@ -85,7 +84,6 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
                       for u, v in zip(nodes, nodes[1:]))
         entry = PathEntry(id=f"{src}=>{dst}#{idx}", nodes=nodes, links=links)
         entry.current_delay = path_delay(links, {})
-        entry.residual_bw = min(l.capacity_bw for l in links)
         entries.append(entry)
     entries.sort(key=lambda e: (len(e.nodes), e.current_delay, e.nodes))
     return entries[:k]
@@ -95,23 +93,25 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
 class SortedPathLists:
     """Per first-hop node, all candidate paths to every cloud, kept sorted
     ascending by current delay. Base stations sharing an aggregator share
-    the underlying entries."""
+    the underlying entries. `intercloud_links` caches, per (source,
+    destination) cloud pair, the links of the shortest path between them,
+    or None when there is none; migration fills it on first use."""
 
     topology: Topology
-    packet_size_bytes: float
     by_first_hop: dict[str, list[PathEntry]] = field(default_factory=dict)
     first_hop_of: dict[str, str] = field(default_factory=dict)
     paths_by_id: dict[str, PathEntry] = field(default_factory=dict)
+    intercloud_links: dict[tuple[str, str], tuple | None] = field(
+        default_factory=dict)
 
     def list_for_bs(self, bs: str) -> list[PathEntry]:
         return self.by_first_hop[self.first_hop_of[bs]]
 
 
-def build_sorted_lists(topology: Topology, k: int,
-                       packet_size_bytes: float = 500.0) -> SortedPathLists:
+def build_sorted_lists(topology: Topology, k: int) -> SortedPathLists:
     """Precompute k-shortest paths from every base station's first hop to
     every cloud and sort them by idle delay."""
-    lists = SortedPathLists(topology, packet_size_bytes)
+    lists = SortedPathLists(topology)
     clouds = sorted(c.id for c in topology.clouds())
     for bs in sorted(n.id for n in topology.base_stations()):
         hop = topology.first_hop(bs)
@@ -132,19 +132,11 @@ def build_sorted_lists(topology: Topology, k: int,
     return lists
 
 
-def _refresh_entry(entry: PathEntry, link_loads, packet_size_bytes):
-    entry.current_delay = path_delay(entry.links, link_loads)
-    to_gbps = packet_size_bytes * 8.0 / 1e9
-    entry.residual_bw = min(
-        l.capacity_bw - link_loads.get(l.key, 0.0) * to_gbps
-        for l in entry.links)
-
-
 def refresh_one(lists: SortedPathLists, first_hop: str, link_loads) -> None:
     """Recompute and re-sort a single first-hop list (event-driven use)."""
     entries = lists.by_first_hop[first_hop]
     for e in entries:
-        _refresh_entry(e, link_loads, lists.packet_size_bytes)
+        e.current_delay = path_delay(e.links, link_loads)
     entries.sort(key=lambda e: e.current_delay)
 
 

@@ -72,11 +72,10 @@ def accumulate_path_loads(state, scenario, paths_by_id) -> dict[str, float]:
     admitted request rate.
     """
     loads: dict[str, float] = {}
-    by_id = {r.id: r for r in scenario.requests}
     for req_id, alloc in state.allocations.items():
         if alloc.path_id not in paths_by_id:
             raise CranplaceError(f"allocation for request {req_id} "
                                  f"references unknown path {alloc.path_id}")
-        rate = by_id[req_id].rate_pps
+        rate = scenario.request(req_id).rate_pps
         loads[alloc.path_id] = loads.get(alloc.path_id, 0.0) + rate
     return loads

@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 
 from cranplace.errors import ScenarioError
 from cranplace.exact import evaluate_constraints
 from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, SA_KINDS,
-                                  HeuristicConfig, place, place_bnb,
-                                  place_sa, sa_iterations)
+                                  HeuristicConfig, fit_floor, place,
+                                  place_bnb, place_sa, sa_iterations)
+from cranplace.model import CapacityVector, capacity_fits
+from cranplace.state import residual_key
 from cranplace.workload import make_scenario
 
 from conftest import micro_scenario
@@ -125,3 +128,19 @@ class TestSaSampling:
         short = place(easy_scenario, HeuristicConfig("sa_short", seed=0))
         long_ = place(easy_scenario, HeuristicConfig("sa_long", seed=0))
         assert long_.work_units > short.work_units
+
+
+
+def test_fit_floor_is_below_every_fitting_residual():
+    # the tightest residuals that still fit: without the margin, rounding
+    # puts the bound above a few percent of them
+    rng = random.Random(5)
+    for _ in range(20000):
+        cpu, storage, network = (rng.choice((0.0, rng.uniform(1e-3, 1e3)))
+                                 for _ in range(3))
+        degradation = rng.choice((0.2, rng.uniform(0.0, 0.99)))
+        demand = CapacityVector(cpu, storage, network)
+        keep = 1.0 - degradation
+        residual = CapacityVector(keep * cpu, storage, keep * network)
+        assert capacity_fits(demand, residual, degradation)
+        assert residual_key(residual) >= fit_floor(demand, degradation)

@@ -1,5 +1,6 @@
 import pytest
 
+from cranplace.heuristics import HeuristicConfig, place
 from cranplace.migration import (MigrationParams, intercloud_link_speed,
                                  migration_time, try_migrate_for_fit)
 from cranplace.model import (CapacityVector, Scenario, ServiceRequest,
@@ -7,6 +8,7 @@ from cranplace.model import (CapacityVector, Scenario, ServiceRequest,
 from cranplace.paths import build_sorted_lists
 from cranplace.state import PlacementState
 from cranplace.topology import LinkParams, build_topology
+from cranplace.workload import make_scenario
 
 from cranplace.defaults import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
 
@@ -117,7 +119,9 @@ class TestTryMigrateForFit:
         moved, ok, out = try_migrate_for_fit(state, newcomer, lists,
                                              admitter, events=events)
         assert ok and moved == 1
-        assert out is not state
+        # trials run on the caller's state, and success closes the journal
+        assert out is state
+        assert state._journal is None
         assert out.migrations == 1
         assert len(events) == 1
         rid, delay = events[0]
@@ -167,12 +171,49 @@ class TestIntercloudLinkSpeed:
         state = PlacementState(scenario)
         p = MigrationParams(link_speed=3e9)
         assert intercloud_link_speed(state, "cloud0", "cloud0", p,
-                                     500.0) == 3e9
+                                     500.0, {}) == 3e9
 
     def test_idle_path_reports_full_bandwidth(self):
         scenario = _two_cloud_scenario([_req(0, "bs0", "physical")])
         state = PlacementState(scenario)
         p = MigrationParams(link_speed=3e9)
-        speed = intercloud_link_speed(state, "cloud0", "cloud1", p, 500.0)
+        speed = intercloud_link_speed(state, "cloud0", "cloud1", p, 500.0,
+                                      {})
         # core links are provisioned far above the fallback speed
         assert speed > p.link_speed
+
+
+# Criterion 4's scenario at 500 requests with cloud capacity cut to 60%:
+# every heuristic drops and migrates past request 360 or so. Per kind:
+# dropped, migrations, first_drop_index, work_units, then the link, compute
+# and migration delay totals as repr, as the clone-per-trial migration
+# produced them.
+SATURATED_OUTPUTS = {
+    "sa_short": (69, 21, 362, 68780, "6.64846899777965e-05",
+                 "2.438762291528243e-05", "0.0022945964032428635"),
+    "bnb_sorted_asc": (60, 9, 404, 73613, "6.376261689390311e-05",
+                       "2.4875514389858682e-05", "0.00098362352828198"),
+    "bnb_plain": (60, 17, 398, 113425, "6.399303343789218e-05",
+                  "2.5025079368679603e-05", "0.0018584050812984175"),
+    "bnb_sorted_desc": (65, 58, 369, 87569, "6.402071242182666e-05",
+                        "2.520237756532123e-05", "0.006336561014580863"),
+    "sa_long": (61, 43, 375, 82940, "6.800197597652478e-05",
+                "2.5150775953110974e-05", "0.00470112170984969"),
+}
+
+
+@pytest.fixture(scope="module")
+def saturated_scenario():
+    return make_scenario(n_bs=50, n_clouds=5, n_requests=500, seed=42,
+                         load_fraction=0.6,
+                         params={"cloud_capacity_total": [14400.0, 54000.0,
+                                                          7200.0]})
+
+
+@pytest.mark.parametrize("kind", sorted(SATURATED_OUTPUTS))
+def test_saturated_run_outputs_are_pinned(saturated_scenario, kind):
+    r = place(saturated_scenario, HeuristicConfig(kind, seed=42))
+    assert (r.dropped, r.migrations, r.first_drop_index, r.work_units,
+            repr(r.total_link_delay), repr(r.total_compute_delay),
+            repr(r.total_migration_delay)) == SATURATED_OUTPUTS[kind]
+    assert r.state._journal is None

@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cranplace.errors import CranplaceError
 from cranplace.model import demand_of
 from cranplace.paths import build_sorted_lists
-from cranplace.state import PlacementState
+from cranplace.state import PlacementState, residual_key
+
+from conftest import micro_scenario
 
 
 def _entry_for(scenario, request):
@@ -121,3 +124,131 @@ class TestCloneAndSignature:
         sig = state.signature()
         state.link_load[("a", "b")] = 1.0
         assert state.signature() != sig
+
+
+# -- checkpoint / rollback ---------------------------------------------------
+
+def _apply(state, lists, steps):
+    """Apply each (kind, a, b) step that is valid on `state`: launch,
+    admit, release, or retire an empty instance and count a migration.
+    Steps with no valid target are skipped."""
+    scenario = state.scenario
+    clouds = sorted(state.residual_cloud)
+    for kind, a, b in steps:
+        if kind == 0:
+            cloud = clouds[a % len(clouds)]
+            vm = scenario.vm_catalog[b % len(scenario.vm_catalog)]
+            if state.residual_cloud[cloud].covers(vm.capacity):
+                state.launch_instance(cloud, vm)
+        elif kind == 1:
+            req = scenario.requests[a % len(scenario.requests)]
+            entries = lists.list_for_bs(req.origin)
+            entry = entries[b % len(entries)]
+            hosts = state.residual_index[entry.cloud]
+            if req.id in state.allocations or not hosts:
+                continue
+            iid = hosts[(a + b) % len(hosts)][1]
+            try:
+                state.admit(req, iid, entry.id, entry.link_keys)
+            except CranplaceError:   # over-committed: rejected untouched
+                pass
+        elif kind == 2:
+            if state.allocations:
+                rids = sorted(state.allocations)
+                state.release(rids[a % len(rids)])
+        else:
+            empty = sorted(i for i, inst in state.instances.items()
+                           if not inst.assigned)
+            if empty:
+                state.retire_instance(empty[a % len(empty)])
+            state.migrations += 1
+
+
+def _snapshot(state):
+    """Everything a rollback must restore, compared with exact float
+    equality."""
+    return (
+        state.signature(),
+        dict(state.allocations),
+        dict(state.link_load),
+        dict(state.cloud_load),
+        dict(state.path_load),
+        dict(state.residual_cloud),
+        {iid: (inst.cloud, inst.residual, dict(inst.assigned))
+         for iid, inst in state.instances.items()},
+        {cloud: list(lst) for cloud, lst in state.residual_index.items()},
+        (state.migrations, state.instances_launched, state.resources_used,
+         state.cost_accrued, state.live_cost(), state._next_instance_id),
+    )
+
+
+def _rebuilt_index(state):
+    index = {cloud: [] for cloud in state.residual_cloud}
+    for inst in state.instances.values():
+        index[inst.cloud].append((residual_key(inst.residual), inst.id))
+    return {cloud: sorted(lst) for cloud, lst in index.items()}
+
+
+_steps = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1000),
+                            st.integers(0, 1000)), max_size=30)
+_micro = st.integers(0, 200).map(micro_scenario)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_micro, before=_steps, outer=_steps, inner=_steps,
+       after=_steps)
+def test_rollback_restores_state_exactly(scenario, before, outer, inner,
+                                         after):
+    lists = build_sorted_lists(scenario.topology, scenario.k_paths)
+    state = PlacementState(scenario)
+    _apply(state, lists, before)
+    at_outer = _snapshot(state)
+    outer_mark = state.checkpoint()
+    _apply(state, lists, outer)
+    at_inner = _snapshot(state)
+    inner_mark = state.checkpoint()
+    _apply(state, lists, inner)
+    assert state.residual_index == _rebuilt_index(state)
+    state.rollback(inner_mark)
+    assert _snapshot(state) == at_inner
+    assert state._journal is not None   # the outer mark is still open
+    _apply(state, lists, after)
+    state.rollback(outer_mark)
+    assert _snapshot(state) == at_outer
+    assert state.residual_index == _rebuilt_index(state)
+    assert state._journal is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(scenario=_micro, before=_steps, trial=_steps)
+def test_commit_keeps_what_an_unjournaled_run_gives(scenario, before, trial):
+    lists = build_sorted_lists(scenario.topology, scenario.k_paths)
+    plain = PlacementState(scenario)
+    _apply(plain, lists, before + trial)
+    state = PlacementState(scenario)
+    _apply(state, lists, before)
+    mark = state.checkpoint()
+    _apply(state, lists, trial)
+    state.commit(mark)
+    assert state._journal is None
+    assert _snapshot(state) == _snapshot(plain)
+    assert state.residual_index == _rebuilt_index(state)
+
+
+def test_rollback_reuses_the_instance_id(tiny_scenario):
+    state = PlacementState(tiny_scenario)
+    vm = tiny_scenario.vm_catalog[0]
+    cloud = tiny_scenario.topology.clouds()[0].id
+    mark = state.checkpoint()
+    first = state.launch_instance(cloud, vm)
+    state.rollback(mark)
+    assert not state.instances and state.instances_launched == 0
+    assert state.launch_instance(cloud, vm).id == first.id
+
+
+def test_rollback_needs_an_open_mark(tiny_scenario):
+    state = PlacementState(tiny_scenario)
+    mark = state.checkpoint()
+    state.commit(mark)
+    with pytest.raises(CranplaceError):
+        state.rollback(mark)
