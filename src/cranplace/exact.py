@@ -9,7 +9,7 @@ from .errors import BudgetExceeded, InfeasibleError
 from .model import CLOUD, Scenario, capacity_fits, demand_of
 from .paths import build_sorted_lists
 from .queueing import QueueLoad, md1_delay, mm1_delay
-from .state import DelayBreakdown, PlacementState
+from .state import PlacementState
 
 _EPS = 1e-9
 
@@ -34,23 +34,67 @@ def _cloud_service_rate(scenario, cloud):
     return scenario.topology.nodes[cloud].service_rate
 
 
+class DelayMemo:
+    """M/D/1 link and M/M/1 cloud sojourn times under one topology's
+    service rates, memoized per link key and per cloud on the exact load.
+    A miss calls the queueing model, so an unstable load still raises."""
+
+    def __init__(self, topology):
+        self._links = topology.links
+        self._nodes = topology.nodes
+        self._memo: dict[tuple, float] = {}  # (link key or cloud, load)
+
+    def request(self, state: PlacementState, alloc) -> tuple[float, float]:
+        """(link delay, compute delay) of an allocation under the state's
+        committed loads, link terms summed in path order."""
+        memo = self._memo
+        link_load = state.link_load
+        link_d = 0.0
+        for key in alloc.links:
+            lam = link_load.get(key, 0.0)
+            d = memo.get((key, lam))
+            if d is None:
+                d = memo[key, lam] = md1_delay(
+                    QueueLoad(lam, self._links[key].service_rate_mu))
+            link_d += d
+        cloud = alloc.cloud
+        upsilon = self._nodes[cloud].service_rate
+        comp_d = 0.0
+        if upsilon > 0:
+            psi = state.cloud_load.get(cloud, 0.0)
+            comp_d = memo.get((cloud, psi))
+            if comp_d is None:
+                comp_d = memo[cloud, psi] = mm1_delay(QueueLoad(psi, upsilon))
+        return link_d, comp_d
+
+
 def request_delay(state: PlacementState, scenario: Scenario,
                   request_id: int) -> tuple[float, float]:
     """(link delay, compute delay) of an admitted request under the
     state's committed loads."""
-    alloc = state.allocations[request_id]
-    topo = scenario.topology
-    link_d = 0.0
-    for key in alloc.links:
-        link = topo.links[key]
-        link_d += md1_delay(QueueLoad(state.link_load.get(key, 0.0),
-                                      link.service_rate_mu))
-    upsilon = _cloud_service_rate(scenario, alloc.cloud)
-    comp_d = 0.0
-    if upsilon > 0:
-        comp_d = mm1_delay(QueueLoad(state.cloud_load.get(alloc.cloud, 0.0),
-                                     upsilon))
-    return link_d, comp_d
+    return DelayMemo(scenario.topology).request(
+        state, state.allocations[request_id])
+
+
+def sla_limits(scenario: Scenario) -> dict[int, float]:
+    """Per request id, the largest end-to-end delay `check_sla` accepts."""
+    return {r.id: scenario.service_class(r.class_name).sla_delay_bound
+            + _EPS for r in scenario.requests}
+
+
+def evaluate_node(state: PlacementState, delays: DelayMemo,
+                  limits: dict[int, float]) -> float | None:
+    """Partial objective of a search node: every admitted request's delay,
+    summed in allocation order. None at the first request over its SLA
+    limit."""
+    total = 0.0
+    for rid, alloc in state.allocations.items():
+        link_d, comp_d = delays.request(state, alloc)
+        delay = link_d + comp_d
+        if delay > limits[rid]:
+            return None
+        total += delay
+    return total
 
 
 def check_cloud_capacity(state, scenario):
@@ -237,25 +281,9 @@ def solve_exact(scenario: Scenario,
     catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,
                                                          v.name))
     cloud_rate = {c.id: c.service_rate for c in scenario.topology.clouds()}
+    delays = DelayMemo(scenario.topology)
+    limits = sla_limits(scenario)
     best: dict = {"obj": None, "vec": None}
-
-    def partial_objective(state):
-        total = 0.0
-        for rid in state.allocations:
-            link_d, comp_d = request_delay(state, scenario, rid)
-            total += link_d + comp_d
-        return total
-
-    def sla_ok(state):
-        for rid in state.allocations:
-            req = requests[rid_index[rid]]
-            bound = scenario.service_class(req.class_name).sla_delay_bound
-            link_d, comp_d = request_delay(state, scenario, rid)
-            if link_d + comp_d > bound + _EPS:
-                return False
-        return True
-
-    rid_index = {r.id: i for i, r in enumerate(requests)}
 
     def candidates(state, request):
         demand = demand_of(request, scenario)
@@ -274,8 +302,8 @@ def solve_exact(scenario: Scenario,
                 stable = False
             if not stable:
                 continue
-            for iid in sorted(i.id for i in
-                              state.instances_at(entry.cloud)):
+            for iid in sorted(iid for _, iid in
+                              state.residual_index[entry.cloud]):
                 inst = state.instances[iid]
                 if capacity_fits(demand, inst.residual, deg):
                     yield entry, ("use", iid), None
@@ -292,11 +320,10 @@ def solve_exact(scenario: Scenario,
                     continue
                 yield entry, ("new", vm.name), vm
 
-    def recurse(state, depth, vec):
+    def recurse(state, depth, vec, obj):
+        """`obj` is the partial objective of `state`, already found to
+        meet every admitted request's SLA."""
         if depth == len(requests):
-            if not sla_ok(state):
-                return
-            obj = partial_objective(state)
             if best["obj"] is None or obj < best["obj"] - 1e-15 \
                     or (abs(obj - best["obj"]) <= 1e-15
                         and vec < best["vec"]):
@@ -312,22 +339,21 @@ def solve_exact(scenario: Scenario,
             else:
                 iid = choice[1]
             work.admit(request, iid, entry.id, entry.link_keys)
-            if not sla_ok(work):
+            work_obj = evaluate_node(work, delays, limits)
+            if work_obj is None:
                 continue
-            if best["obj"] is not None \
-                    and partial_objective(work) > best["obj"] + 1e-15:
+            if best["obj"] is not None and work_obj > best["obj"] + 1e-15:
                 continue
             vec.append((entry.cloud, entry.id) + choice)
-            recurse(work, depth + 1, vec)
+            recurse(work, depth + 1, vec, work_obj)
             vec.pop()
 
-    recurse(PlacementState(scenario), 0, [])
+    recurse(PlacementState(scenario), 0, [], 0.0)
     if best["vec"] is None:
         raise InfeasibleError("no feasible placement of all requests")
 
     # replay the winning assignment on a fresh state for clean counters
     final = PlacementState(scenario)
-    breakdown: dict[int, DelayBreakdown] = {}
     for request, step in zip(requests, best["vec"]):
         cloud, path_id, kind, key = step
         entry = lists.paths_by_id[path_id]
@@ -337,7 +363,4 @@ def solve_exact(scenario: Scenario,
         else:
             iid = key
         final.admit(request, iid, entry.id, entry.link_keys)
-        link_d, comp_d = request_delay(final, scenario, request.id)
-        breakdown[request.id] = DelayBreakdown(link_d, comp_d)
-    final.breakdown = breakdown
     return final

@@ -212,11 +212,9 @@ class _Run:
                     return inst
             return None
         lst = self.state.residual_index[cloud]
-        # no instance whose total remaining capacity is below this can fit
-        need_key = (1.0 - self.degradation) * (demand.cpu + demand.network) \
-            + demand.storage
+        floor = fit_floor(demand, self.degradation)
         if kind == BNB_SORTED_ASC:
-            start = bisect_left(lst, (need_key, -1))
+            start = bisect_left(lst, (floor, -1))
             for j in range(start, len(lst)):
                 self.work += 1
                 inst = self.state.instances[lst[j][1]]
@@ -226,7 +224,7 @@ class _Run:
         # descending: largest residual first
         for j in range(len(lst) - 1, -1, -1):
             self.work += 1
-            if lst[j][0] < need_key:
+            if lst[j][0] < floor:
                 break
             inst = self.state.instances[lst[j][1]]
             if capacity_fits(demand, inst.residual, self.degradation):

@@ -19,10 +19,11 @@ class PathEntry:
     nodes: tuple[str, ...]
     links: tuple  # Link objects, in traversal order
     current_delay: float = 0.0
+    link_keys: tuple[tuple[str, str], ...] = field(init=False)
 
-    @property
-    def link_keys(self) -> tuple[tuple[str, str], ...]:
-        return tuple(l.key for l in self.links)
+    def __post_init__(self):
+        # a link's key is its (src, dst) pair of consecutive nodes
+        self.link_keys = tuple(zip(self.nodes, self.nodes[1:]))
 
     @property
     def cloud(self) -> str:

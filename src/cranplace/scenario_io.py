@@ -106,7 +106,10 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
-        data = yaml.load(fh, Loader=_Loader)
+        try:
+            data = yaml.load(fh, Loader=_Loader)
+        except yaml.YAMLError as exc:
+            raise ScenarioError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: not a scenario file")
     return scenario_from_dict(data)

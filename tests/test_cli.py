@@ -111,6 +111,16 @@ class TestExitCodes:
                      "--mu", "1.0", "--packets", "3"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command", [
+        ["solve-exact"], ["place", "--heuristic", "bnb"]])
+    def test_malformed_yaml_is_two(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.yaml"
+        path.write_text("topology: [1, 2\nnodes: {\n")
+        rc = main([command[0], "--scenario", str(path)] + command[1:]
+                  + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "malformed YAML" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_place_reruns_byte_identical(self, scenario_file, tmp_path,

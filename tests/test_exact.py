@@ -1,10 +1,12 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cranplace.errors import BudgetExceeded, InfeasibleError
-from cranplace.exact import (CONSTRAINTS, ExactBudget, evaluate_constraints,
-                             objective, request_delay, solve_exact)
+from cranplace.errors import BudgetExceeded, CranplaceError, InfeasibleError
+from cranplace.exact import (CONSTRAINTS, DelayMemo, ExactBudget,
+                             evaluate_constraints, evaluate_node, objective,
+                             request_delay, sla_limits, solve_exact)
 from cranplace.heuristics import HeuristicConfig, place
 from cranplace.model import CapacityVector, ServiceRequest, with_requests
 from cranplace.paths import build_sorted_lists
@@ -165,3 +167,115 @@ class TestSolveExact:
         tight = ExactBudget(max_requests=1)
         with pytest.raises(BudgetExceeded):
             solve_exact(tiny_scenario, tight)
+
+    # criterion-2 instances (seed: objective repr, (request, cloud,
+    # instance, path) per request); 5, 24 and 27 are of full size
+    PINNED = {
+        0: ("2.7791775292588567e-07",
+            [(0, "cloud0", 0, "agg0=>cloud0#0"),
+             (1, "cloud0", 1, "agg0=>cloud0#0")]),
+        11: ("4.161388151319151e-07",
+             [(0, "cloud1", 0, "agg1=>cloud1#0"),
+              (1, "cloud0", 1, "agg0=>cloud0#0"),
+              (2, "cloud1", 2, "agg1=>cloud1#0")]),
+        5: ("5.558355058517713e-07",
+            [(0, "cloud1", 0, "agg1=>cloud1#0"),
+             (1, "cloud1", 1, "agg1=>cloud1#0"),
+             (2, "cloud0", 2, "agg0=>cloud0#0"),
+             (3, "cloud0", 3, "agg0=>cloud0#0")]),
+        24: ("5.619493712786864e-07",
+             [(0, "cloud0", 0, "agg0=>cloud0#0"),
+              (1, "cloud0", 1, "agg0=>cloud0#0"),
+              (2, "cloud0", 0, "agg0=>cloud0#0"),
+              (3, "cloud0", 0, "agg0=>cloud0#0")]),
+        27: ("5.558355058517713e-07",
+             [(0, "cloud1", 0, "agg1=>cloud1#0"),
+              (1, "cloud0", 1, "agg0=>cloud0#0"),
+              (2, "cloud0", 2, "agg0=>cloud0#0"),
+              (3, "cloud1", 3, "agg1=>cloud1#0")]),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_pinned_optimum(self, seed):
+        scenario = micro_scenario(seed)
+        state = solve_exact(scenario)
+        want_obj, want_alloc = self.PINNED[seed]
+        assert repr(objective(state, scenario)) == want_obj
+        assert [(rid, a.cloud, a.instance_id, a.path_id)
+                for rid, a in sorted(state.allocations.items())] \
+            == want_alloc
+
+
+def _reference_node_value(state, scenario):
+    """The search's node value from fresh per-request delays: None if any
+    admitted request is over its SLA bound, else their sum in allocation
+    order."""
+    total = 0.0
+    over = False
+    for rid in state.allocations:
+        bound = scenario.service_class(
+            scenario.request(rid).class_name).sla_delay_bound
+        link_d, comp_d = request_delay(state, scenario, rid)
+        if link_d + comp_d > bound + 1e-9:
+            over = True
+        total += link_d + comp_d
+    return None if over else total
+
+
+_admissions = st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000),
+                                 st.integers(0, 1000)),
+                       min_size=1, max_size=6)
+# multiples of the SLA bound that one link or cloud term is pushed to
+_pressure = st.lists(st.sampled_from((None, 0.5, 0.99, 1.01, 3.0)),
+                     max_size=8)
+
+
+def _load_for_delay(delay, rate, md1):
+    """Arrival rate at which an M/D/1 (or M/M/1) queue of this service
+    rate has the given mean sojourn time."""
+    x = rate * delay
+    return rate * ((2.0 * x - 2.0) / (2.0 * x - 1.0) if md1 else 1.0 - 1.0 / x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 200), admissions=_admissions,
+       pressure=_pressure)
+def test_node_evaluation_matches_request_delays(seed, admissions,
+                                                pressure):
+    scenario = micro_scenario(seed)
+    topo = scenario.topology
+    lists = build_sorted_lists(topo, scenario.k_paths)
+    # one memo across every state, so later states hit earlier entries
+    delays = DelayMemo(topo)
+    limits = sla_limits(scenario)
+    state = PlacementState(scenario)
+    for a, b, c in admissions:
+        req = scenario.requests[a % len(scenario.requests)]
+        entries = lists.list_for_bs(req.origin)
+        entry = entries[b % len(entries)]
+        hosts = state.residual_index[entry.cloud]
+        if req.id in state.allocations:
+            continue
+        if hosts and c % 2:
+            iid = hosts[c % len(hosts)][1]
+        else:
+            vm = scenario.vm_catalog[c % len(scenario.vm_catalog)]
+            if not state.residual_cloud[entry.cloud].covers(vm.capacity):
+                continue
+            iid = state.launch_instance(entry.cloud, vm).id
+        try:
+            state.admit(req, iid, entry.id, entry.link_keys)
+        except CranplaceError:   # over-committed: rejected untouched
+            continue
+        assert evaluate_node(state, delays, limits) \
+            == _reference_node_value(state, scenario)
+    bound = min(c.sla_delay_bound for c in scenario.classes)
+    loaded = [(state.link_load, key, topo.links[key].service_rate_mu, True)
+              for key in sorted(state.link_load)]
+    loaded += [(state.cloud_load, cloud, topo.nodes[cloud].service_rate,
+                False) for cloud in sorted(state.cloud_load)]
+    for (loads, key, rate, md1), times in zip(loaded, pressure):
+        if times is not None:
+            loads[key] = _load_for_delay(times * bound, rate, md1)
+        assert evaluate_node(state, delays, limits) \
+            == _reference_node_value(state, scenario)

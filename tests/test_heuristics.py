@@ -5,10 +5,11 @@ import pytest
 
 from cranplace.errors import ScenarioError
 from cranplace.exact import evaluate_constraints
-from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, SA_KINDS,
-                                  HeuristicConfig, fit_floor, place,
-                                  place_bnb, place_sa, sa_iterations)
-from cranplace.model import CapacityVector, capacity_fits
+from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, BNB_SORTED_ASC,
+                                  BNB_SORTED_DESC, SA_KINDS, HeuristicConfig,
+                                  _Run, fit_floor, place, place_bnb,
+                                  place_sa, sa_iterations)
+from cranplace.model import CapacityVector, VmType, capacity_fits
 from cranplace.state import residual_key
 from cranplace.workload import make_scenario
 
@@ -144,3 +145,22 @@ def test_fit_floor_is_below_every_fitting_residual():
         residual = CapacityVector(keep * cpu, storage, keep * network)
         assert capacity_fits(demand, residual, degradation)
         assert residual_key(residual) >= fit_floor(demand, degradation)
+
+
+@pytest.mark.parametrize("kind", [BNB_SORTED_ASC, BNB_SORTED_DESC])
+def test_sorted_scans_pick_a_tight_fit_whose_key_rounds_low(kind):
+    # the residual fits exactly, but its summed key rounds below the
+    # summed degraded demand, so a scan bounded by that sum skips it
+    scenario = micro_scenario(7)
+    demand = CapacityVector(7.6, 42.5, 38.4)
+    keep = 1.0 - scenario.degradation_fraction
+    tight = CapacityVector(keep * demand.cpu, demand.storage,
+                           keep * demand.network)
+    need = keep * (demand.cpu + demand.network) + demand.storage
+    assert capacity_fits(demand, tight, scenario.degradation_fraction)
+    assert residual_key(tight) < need
+    run = _Run(scenario, HeuristicConfig(kind))
+    cloud = scenario.topology.clouds()[0].id
+    inst = run.state.launch_instance(cloud, VmType("tight", tight, 1.0))
+    assert run._pick_instance(cloud, demand) is inst
+

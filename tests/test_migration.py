@@ -71,10 +71,10 @@ def _first_fit_admitter(scenario, lists):
         for entry in lists.list_for_bs(request.origin):
             if entry.cloud in exclude_clouds:
                 continue
-            for inst in sorted(state.instances_at(entry.cloud),
-                               key=lambda i: i.id):
-                if capacity_fits(demand, inst.residual, deg):
-                    return state.admit(request, inst.id, entry.id,
+            for iid in sorted(iid for _, iid in
+                              state.residual_index[entry.cloud]):
+                if capacity_fits(demand, state.instances[iid].residual, deg):
+                    return state.admit(request, iid, entry.id,
                                        entry.link_keys)
             vm = scenario.vm_catalog[0]
             if capacity_fits(demand, vm.capacity, deg) \

@@ -22,6 +22,7 @@ class TestKShortestPaths:
         for e in entries:
             assert len(set(e.nodes)) == len(e.nodes)
             assert e.nodes[0] == "agg0" and e.nodes[-1] == "cloud0"
+            assert e.link_keys == tuple(l.key for l in e.links)
 
     def test_direct_route_wins(self, ring_topo):
         entries = k_shortest_paths(ring_topo, "agg0", "cloud0", 1)
