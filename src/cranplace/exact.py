@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, InfeasibleError
 from .model import CLOUD, Scenario, capacity_fits, demand_of
 from .paths import build_sorted_lists
-from .queueing import QueueLoad, md1_delay, mm1_delay
+from .queueing import md1, mm1
 from .state import PlacementState
 
 _EPS = 1e-9
@@ -37,7 +37,7 @@ def _cloud_service_rate(scenario, cloud):
 class DelayMemo:
     """M/D/1 link and M/M/1 cloud sojourn times under one topology's
     service rates, memoized per link key and per cloud on the exact load.
-    A miss calls the queueing model, so an unstable load still raises."""
+    A miss calls the queueing kernel, so an unstable load still raises."""
 
     def __init__(self, topology):
         self._links = topology.links
@@ -54,8 +54,8 @@ class DelayMemo:
             lam = link_load.get(key, 0.0)
             d = memo.get((key, lam))
             if d is None:
-                d = memo[key, lam] = md1_delay(
-                    QueueLoad(lam, self._links[key].service_rate_mu))
+                d = memo[key, lam] = md1(lam,
+                                         self._links[key].service_rate_mu)
             link_d += d
         cloud = alloc.cloud
         upsilon = self._nodes[cloud].service_rate
@@ -64,7 +64,7 @@ class DelayMemo:
             psi = state.cloud_load.get(cloud, 0.0)
             comp_d = memo.get((cloud, psi))
             if comp_d is None:
-                comp_d = memo[cloud, psi] = mm1_delay(QueueLoad(psi, upsilon))
+                comp_d = memo[cloud, psi] = mm1(psi, upsilon)
         return link_d, comp_d
 
 
@@ -284,16 +284,19 @@ def solve_exact(scenario: Scenario,
     delays = DelayMemo(scenario.topology)
     limits = sla_limits(scenario)
     best: dict = {"obj": None, "vec": None}
+    # each origin's paths in (cloud, id) order; the lists do not change
+    # during the search
+    by_origin = {r.origin: sorted(lists.list_for_bs(r.origin),
+                                  key=lambda e: (e.cloud, e.id))
+                 for r in requests}
 
     def candidates(state, request):
-        demand = demand_of(request, scenario)
+        demand = state.demand(request)
         rate = request.rate_pps
-        for entry in sorted(lists.list_for_bs(request.origin),
-                            key=lambda e: (e.cloud, e.id)):
+        for entry in by_origin[request.origin]:
             stable = True
-            for link in entry.links:
-                if state.link_load.get(link.key, 0.0) + rate \
-                        >= link.service_rate_mu:
+            for key, mu in entry.link_rates:
+                if state.link_load.get(key, 0.0) + rate >= mu:
                     stable = False
                     break
             upsilon = cloud_rate[entry.cloud]

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 from .errors import ScenarioError
 from .migration import MigrationParams, try_migrate_for_fit
-from .model import CapacityVector, Scenario, capacity_fits, demand_of
+from .model import CapacityVector, Scenario, capacity_fits
 from .paths import build_sorted_lists, refresh_one
-from .queueing import QueueLoad, md1_delay, mm1_delay
+from .queueing import md1, mm1
 from .state import Allocation, DelayBreakdown, PlacementState
 
 BNB_PLAIN = "bnb_plain"
@@ -44,6 +44,11 @@ class HeuristicConfig:
             raise ScenarioError(f"unknown heuristic kind {self.kind!r}")
         if self.mode not in ("dynamic", "static"):
             raise ScenarioError(f"unknown mode {self.mode!r}")
+        if self.degradation_fraction is not None \
+                and not 0.0 <= self.degradation_fraction < 1.0:
+            raise ScenarioError("degradation_fraction must be in [0, 1)")
+        if self.k_paths is not None and self.k_paths < 1:
+            raise ScenarioError("k_paths must be >= 1")
 
 
 @dataclass
@@ -150,19 +155,21 @@ class _Run:
         and cloud. Returns projected (link_delay, compute_delay) or None."""
         self.work += 1 + len(entry.links)
         rate = request.rate_pps
+        link_load = state.link_load
         link_d = 0.0
-        for link in entry.links:
-            lam = state.link_load.get(link.key, 0.0) + rate
-            if lam >= link.service_rate_mu:
+        for key, mu in entry.link_rates:
+            lam = link_load.get(key, 0.0) + rate
+            if lam >= mu:
                 return None
-            link_d += md1_delay(QueueLoad(lam, link.service_rate_mu))
-        upsilon = self.cloud_rate[entry.cloud]
+            link_d += md1(lam, mu)
+        cloud = entry.cloud
+        upsilon = self.cloud_rate[cloud]
         comp_d = 0.0
         if upsilon > 0:
-            psi = state.cloud_load.get(entry.cloud, 0.0) + rate
+            psi = state.cloud_load.get(cloud, 0.0) + rate
             if psi >= upsilon:
                 return None
-            comp_d = mm1_delay(QueueLoad(psi, upsilon))
+            comp_d = mm1(psi, upsilon)
         bound = self.scenario.service_class(request.class_name).sla_delay_bound
         if link_d + comp_d > bound + _EPS:
             return None
@@ -246,10 +253,9 @@ class _Run:
         topo_links = self.scenario.topology.links
         link_d = 0.0
         for key in alloc.links:
-            link_d += md1_delay(QueueLoad(
-                st.link_load[key], topo_links[key].service_rate_mu))
+            link_d += md1(st.link_load[key], topo_links[key].service_rate_mu)
         upsilon = self.cloud_rate[alloc.cloud]
-        comp_d = (mm1_delay(QueueLoad(st.cloud_load[alloc.cloud], upsilon))
+        comp_d = (mm1(st.cloud_load[alloc.cloud], upsilon)
                   if upsilon > 0 else 0.0)
         bd = self.breakdown.setdefault(alloc.request_id, DelayBreakdown())
         bd.link_delay = link_d
@@ -274,7 +280,7 @@ class _Run:
         remaining capacity on the first feasible entry, else a new one.
         Commits with `state.admit`, so no delays are recorded mid-trial,
         and leaves the launch history to the caller."""
-        demand = demand_of(request, self.scenario)
+        demand = state.demand(request)
         floor = fit_floor(demand, self.degradation)
         for entry in self.lists.list_for_bs(request.origin):
             if entry.cloud in exclude_clouds:
@@ -303,7 +309,7 @@ class _Run:
         self.work += sum(len(e.links) for e in entries)
         refresh_one(self.lists, self.lists.first_hop_of[request.origin],
                     self.state.link_load)
-        demand = demand_of(request, self.scenario)
+        demand = self.state.demand(request)
         for entry in self.lists.list_for_bs(request.origin):
             alloc = self._main_admit_on_entry(request, entry, demand)
             if alloc is not None:
@@ -317,22 +323,39 @@ class _Run:
         entries = self.lists.list_for_bs(request.origin)
         if not entries:
             return None
-        demand = demand_of(request, self.scenario)
-        rng = self.rng
         state = self.state
+        demand = state.demand(request)
+        # capacity_fits(demand, residual, self.degradation), unrolled
+        keep = 1.0 - self.degradation
+        need_cpu = keep * demand.cpu
+        need_storage = demand.storage
+        need_network = keep * demand.network
+        getrandbits = self.rng.getrandbits
+        index = state.residual_index
+        instances = state.instances
         candidates = {}  # (entry_idx, slot) -> (score, order)
         launchable = {}  # cloud -> vm or None, lazily filled
+        self.work += draws
+        n_entries = len(entries)
+        k_entries = n_entries.bit_length()
         for attempt in range(draws):
-            self.work += 1
-            ei = rng.randrange(len(entries))
+            # both draws replay Random.randrange(n) bit for bit: the same
+            # rejection loop over getrandbits(n.bit_length())
+            ei = getrandbits(k_entries)
+            while ei >= n_entries:
+                ei = getrandbits(k_entries)
             entry = entries[ei]
-            live = state.residual_index[entry.cloud]
-            slot = rng.randrange(len(live) + 1)
-            if slot < len(live):
+            live = index[entry.cloud]
+            n = len(live) + 1
+            k = n.bit_length()
+            slot = getrandbits(k)
+            while slot >= n:
+                slot = getrandbits(k)
+            if slot < n - 1:
                 iid = live[slot][1]
-                inst = state.instances[iid]
-                if not capacity_fits(demand, inst.residual,
-                                     self.degradation):
+                r = instances[iid].residual
+                if not (r.storage >= need_storage and r.cpu >= need_cpu
+                        and r.network >= need_network):
                     continue
                 key = (ei, iid)
             else:
@@ -345,8 +368,7 @@ class _Run:
                 key = (ei, -1)
             if key not in candidates:
                 candidates[key] = (entry.current_delay, attempt)
-        ranked = sorted(candidates.items(), key=lambda kv: kv[1])
-        for (ei, slot), _score in ranked:
+        for ei, slot in sorted(candidates, key=candidates.__getitem__):
             entry = entries[ei]
             if self._entry_feasible(state, request, entry) is None:
                 continue

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoPath
-from .model import demand_of
 from .paths import k_shortest_paths
 
 
@@ -101,7 +100,7 @@ def try_migrate_for_fit(state, request, lists, admitter, params=None,
     if target_limit is not None:
         target_clouds = target_clouds[:target_limit]
     scenario = state.scenario
-    demand = demand_of(request, scenario)
+    demand = state.demand(request)
     # what moves is the service's live state, not its disk footprint
     vm_bytes = max(params.page_size, params.image_bytes)
 

@@ -245,6 +245,8 @@ class Scenario:
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}
+        if len(self._requests) != len(self.requests):
+            raise ScenarioError("request ids must be unique")
         for r in self.requests:
             if r.class_name not in self._classes:
                 raise ScenarioError(f"request {r.id}: unknown class "

@@ -20,14 +20,17 @@ class PathEntry:
     links: tuple  # Link objects, in traversal order
     current_delay: float = 0.0
     link_keys: tuple[tuple[str, str], ...] = field(init=False)
+    # (key, service rate mu) of each link, for the per-request delay screen
+    link_rates: tuple[tuple[tuple[str, str], float], ...] = field(
+        init=False)
+    cloud: str = field(init=False)
 
     def __post_init__(self):
         # a link's key is its (src, dst) pair of consecutive nodes
         self.link_keys = tuple(zip(self.nodes, self.nodes[1:]))
-
-    @property
-    def cloud(self) -> str:
-        return self.nodes[-1]
+        self.link_rates = tuple(zip(self.link_keys,
+                                    [l.service_rate_mu for l in self.links]))
+        self.cloud = self.nodes[-1]
 
 
 def _simple_paths_by_hops(topology: Topology, src: str, dst: str):

@@ -1,5 +1,9 @@
 """Closed-form delay models: M/M/1 clouds, M/D/1 links, path sums and
-load accounting."""
+load accounting.
+
+`md1` and `mm1` are the float kernels every delay in the program goes
+through; `md1_delay`/`mm1_delay` take a `QueueLoad` and exist for callers
+that start from one."""
 
 from __future__ import annotations
 
@@ -24,25 +28,43 @@ class QueueLoad:
         return self.arrival_rate / self.service_rate
 
 
-def mm1_delay(load: QueueLoad) -> float:
-    """Mean sojourn time (seconds) of an M/M/1 queue: (1/mu) / (1 - rho)."""
-    rho = load.utilization
+def mm1(psi: float, upsilon: float) -> float:
+    """Mean sojourn time (seconds) of an M/M/1 queue with arrival rate
+    `psi` and service rate `upsilon` (packets/s): (1/mu) / (1 - rho)."""
+    if upsilon <= 0:
+        raise ValueError("service_rate must be positive")
+    if psi < 0:
+        raise ValueError("arrival_rate must be non-negative")
+    rho = psi / upsilon
     if rho >= 1.0:
         raise StabilityViolation(
-            f"M/M/1 unstable: arrival {load.arrival_rate} >= service "
-            f"{load.service_rate}")
-    return 1.0 / (load.service_rate * (1.0 - rho))
+            f"M/M/1 unstable: arrival {psi} >= service {upsilon}")
+    return 1.0 / (upsilon * (1.0 - rho))
+
+
+def md1(lam: float, mu: float) -> float:
+    """Mean sojourn time (seconds) of an M/D/1 queue with arrival rate
+    `lam` and service rate `mu` (packets/s):
+    (1 / 2mu) * (2 - rho) / (1 - rho)."""
+    if mu <= 0:
+        raise ValueError("service_rate must be positive")
+    if lam < 0:
+        raise ValueError("arrival_rate must be non-negative")
+    rho = lam / mu
+    if rho >= 1.0:
+        raise StabilityViolation(
+            f"M/D/1 unstable: arrival {lam} >= service {mu}")
+    return (2.0 - rho) / (2.0 * mu * (1.0 - rho))
+
+
+def mm1_delay(load: QueueLoad) -> float:
+    """`mm1` on a `QueueLoad`."""
+    return mm1(load.arrival_rate, load.service_rate)
 
 
 def md1_delay(load: QueueLoad) -> float:
-    """Mean sojourn time (seconds) of an M/D/1 queue:
-    (1 / 2mu) * (2 - rho) / (1 - rho)."""
-    rho = load.utilization
-    if rho >= 1.0:
-        raise StabilityViolation(
-            f"M/D/1 unstable: arrival {load.arrival_rate} >= service "
-            f"{load.service_rate}")
-    return (2.0 - rho) / (2.0 * load.service_rate * (1.0 - rho))
+    """`md1` on a `QueueLoad`."""
+    return md1(load.arrival_rate, load.service_rate)
 
 
 def path_delay(links, loads) -> float:
@@ -60,7 +82,7 @@ def path_delay(links, loads) -> float:
             raise StabilityViolation(
                 f"link {link.src}->{link.dst} unstable: {arrival} >= "
                 f"{link.service_rate_mu}", where=link.key)
-        total += md1_delay(QueueLoad(arrival, link.service_rate_mu))
+        total += md1(arrival, link.service_rate_mu)
     return total
 
 

@@ -56,7 +56,7 @@ class Allocation:
     cloud: str
     instance_id: int
     path_id: str
-    links: tuple[tuple[str, str], ...]  # non-ignored links of the path
+    links: tuple[tuple[str, str], ...]  # every link of the path, in order
     consumed: CapacityVector
     rate_pps: float
 
@@ -92,6 +92,9 @@ class PlacementState:
         # live instances of each cloud as (residual_key, id), ascending
         self.residual_index: dict[str, list[tuple[float, int]]] = {
             cloud: [] for cloud in self.residual_cloud}
+        # request id -> demand_of(request); a pure function of the
+        # scenario, so clones share it and rollbacks leave it alone
+        self._demands: dict[int, CapacityVector] = {}
         # (undo callable, its arguments) per overwritten value, while a
         # checkpoint is open
         self._journal: list | None = None
@@ -207,11 +210,19 @@ class PlacementState:
 
     # -- request lifecycle -------------------------------------------------
 
+    def demand(self, request: ServiceRequest) -> CapacityVector:
+        """`demand_of(request)`, computed once per request id."""
+        demand = self._demands.get(request.id)
+        if demand is None:
+            demand = self._demands[request.id] = demand_of(request,
+                                                           self.scenario)
+        return demand
+
     def consumed_for(self, request: ServiceRequest,
                      instance: VmInstance) -> CapacityVector:
         """Capacity actually subtracted on admission: storage in full,
         CPU/network clipped to what is left (degraded admission)."""
-        demand = demand_of(request, self.scenario)
+        demand = self.demand(request)
         r = instance.residual
         return CapacityVector(min(demand.cpu, r.cpu), demand.storage,
                               min(demand.network, r.network))
@@ -319,6 +330,7 @@ class PlacementState:
         other._live_cost = self._live_cost
         other.residual_index = {cloud: list(lst) for cloud, lst
                                 in self.residual_index.items()}
+        other._demands = self._demands
         other._journal = None
         return other
 

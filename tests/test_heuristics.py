@@ -1,7 +1,10 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cranplace.errors import ScenarioError
 from cranplace.exact import evaluate_constraints
@@ -10,7 +13,7 @@ from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, BNB_SORTED_ASC,
                                   _Run, fit_floor, place, place_bnb,
                                   place_sa, sa_iterations)
 from cranplace.model import CapacityVector, VmType, capacity_fits
-from cranplace.state import residual_key
+from cranplace.state import PlacementState, residual_key
 from cranplace.workload import make_scenario
 
 from conftest import micro_scenario
@@ -29,6 +32,21 @@ class TestConfig:
             HeuristicConfig("greedy")
         with pytest.raises(ScenarioError):
             HeuristicConfig("bnb_plain", mode="batch")
+
+    @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.1, math.nan,
+                                          math.inf])
+    def test_degradation_outside_unit_interval_rejected(self, fraction):
+        with pytest.raises(ScenarioError):
+            HeuristicConfig("sa_short", degradation_fraction=fraction)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_paths_below_one_rejected(self, k):
+        with pytest.raises(ScenarioError):
+            HeuristicConfig("bnb_plain", k_paths=k)
+
+    def test_boundary_overrides_accepted(self):
+        HeuristicConfig("sa_short", degradation_fraction=0.0, k_paths=1)
+        HeuristicConfig("sa_short", degradation_fraction=0.999)
 
     def test_dispatch_guards(self, easy_scenario):
         with pytest.raises(ScenarioError):
@@ -164,3 +182,67 @@ def test_sorted_scans_pick_a_tight_fit_whose_key_rounds_low(kind):
     inst = run.state.launch_instance(cloud, VmType("tight", tight, 1.0))
     assert run._pick_instance(cloud, demand) is inst
 
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2**64),
+       ns=st.lists(st.integers(1, 4096), min_size=1, max_size=60))
+def test_inlined_sampler_replays_randrange(seed, ns):
+    # the SA draw loop inlines Random.randrange(n) as this rejection loop;
+    # a CPython that draws differently fails here, not in a placement
+    rng = random.Random(seed)
+    getrandbits = rng.getrandbits
+    got = []
+    for n in ns:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        got.append(r)
+    want = random.Random(seed)
+    assert got == [want.randrange(n) for n in ns]
+    assert rng.getstate() == want.getstate()
+
+
+# Criterion 5's scenario at 1000 requests: nothing drops or migrates, so
+# every request takes the per-request path. Per kind: work_units,
+# instances_launched, the link and compute delay totals as repr, and a
+# digest of the (request, instance, path) admissions in order, as the
+# QueueLoad-based delay screen and Random.randrange produced them.
+LIGHT_OUTPUTS = {
+    "bnb_plain": (81137, 390, "0.00014672922277142797",
+                  "6.0670967548752184e-05", "876673855384ccf6"),
+    "bnb_sorted_asc": (54253, 336, "0.00014672922277142797",
+                       "6.0670967548752184e-05", "81223d3e29b808a0"),
+    "bnb_sorted_desc": (52619, 479, "0.00014672922277142797",
+                        "6.0670967548752184e-05", "edfa0bd2b9028d88"),
+    "sa_short": (15816, 495, "0.00016020875440512792",
+                 "5.9909205443608684e-05", "35b874bc11ed05a9"),
+    "sa_long": (68982, 436, "0.00015536508806181956",
+                "6.012526637374083e-05", "ce905d1fbb0c5638"),
+}
+
+
+@pytest.fixture(scope="module")
+def light_scenario():
+    return make_scenario(50, 5, 1000, seed=7, load_fraction=0.3,
+                         resource_cap_total=1e9, cost_threshold=1e9,
+                         params={"cloud_capacity_total": [1e6, 1e7, 1e6],
+                                 "holding_time": 0.002,
+                                 "volume_packets": 250.0})
+
+
+@pytest.mark.parametrize("kind", sorted(LIGHT_OUTPUTS))
+def test_light_stream_outputs_are_pinned(light_scenario, kind, monkeypatch):
+    admitted = []
+    admit = PlacementState.admit
+
+    def recording_admit(state, request, instance_id, path_id, links):
+        admitted.append((request.id, instance_id, path_id))
+        return admit(state, request, instance_id, path_id, links)
+
+    monkeypatch.setattr(PlacementState, "admit", recording_admit)
+    r = place(light_scenario, HeuristicConfig(kind, seed=7))
+    assert (r.dropped, r.migrations, len(admitted)) == (0, 0, 1000)
+    digest = hashlib.sha256(repr(admitted).encode()).hexdigest()[:16]
+    assert (r.work_units, r.instances_launched, repr(r.total_link_delay),
+            repr(r.total_compute_delay), digest) == LIGHT_OUTPUTS[kind]

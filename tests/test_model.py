@@ -133,6 +133,12 @@ class TestScenario:
         with pytest.raises(ScenarioError):
             with_requests(tiny_scenario, [bad])
 
+    def test_duplicate_request_ids_rejected(self, tiny_scenario):
+        # per-run caches and the request lookup key on the id
+        first = tiny_scenario.requests[0]
+        with pytest.raises(ScenarioError):
+            with_requests(tiny_scenario, [first, first])
+
     def test_origin_must_be_base_station(self, tiny_scenario):
         bad = ServiceRequest(99, "cloud0", "physical", 1000.0, 500.0)
         with pytest.raises(ScenarioError):

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cranplace.errors import CranplaceError, StabilityViolation
 from cranplace.model import Link
-from cranplace.queueing import (QueueLoad, accumulate_path_loads, md1_delay,
-                                mm1_delay, path_delay)
+from cranplace.queueing import (QueueLoad, accumulate_path_loads, md1,
+                                md1_delay, mm1, mm1_delay, path_delay)
 
 
 class TestQueueLoad:
@@ -39,6 +41,60 @@ class TestClosedForms:
             mm1_delay(QueueLoad(1.0, 1.0))
         with pytest.raises(StabilityViolation):
             md1_delay(QueueLoad(2.0, 1.0))
+
+
+def _md1_reference(load):
+    """The M/D/1 closed form written on a QueueLoad, as the reference the
+    kernel must match bit for bit."""
+    rho = load.utilization
+    if rho >= 1.0:
+        raise StabilityViolation(
+            f"M/D/1 unstable: arrival {load.arrival_rate} >= service "
+            f"{load.service_rate}")
+    return (2.0 - rho) / (2.0 * load.service_rate * (1.0 - rho))
+
+
+def _mm1_reference(load):
+    """The M/M/1 closed form written on a QueueLoad."""
+    rho = load.utilization
+    if rho >= 1.0:
+        raise StabilityViolation(
+            f"M/M/1 unstable: arrival {load.arrival_rate} >= service "
+            f"{load.service_rate}")
+    return 1.0 / (load.service_rate * (1.0 - rho))
+
+
+def _outcome(fn, *args):
+    """repr of the result (bit-exact, NaN included) or the error raised."""
+    try:
+        return repr(fn(*args))
+    except (ValueError, StabilityViolation) as err:
+        return type(err), str(err)
+
+
+class TestKernels:
+    @given(mu=st.one_of(st.floats(1e-6, 1e12), st.floats()),
+           load=st.one_of(st.floats(0.0, 1.1), st.floats()),
+           scaled=st.booleans())
+    def test_kernels_equal_the_queue_load_forms(self, mu, load, scaled):
+        # scaled draws put rho near 1, where the stability raise sits
+        lam = load * mu if scaled else load
+        for kernel, wrapped, reference in (
+                (md1, md1_delay, _md1_reference),
+                (mm1, mm1_delay, _mm1_reference)):
+            want = _outcome(lambda a, b: reference(QueueLoad(a, b)), lam, mu)
+            assert _outcome(kernel, lam, mu) == want
+            assert _outcome(lambda a, b: wrapped(QueueLoad(a, b)),
+                            lam, mu) == want
+
+    def test_kernels_validate_like_queue_load(self):
+        for kernel in (md1, mm1):
+            with pytest.raises(ValueError):
+                kernel(1.0, 0.0)
+            with pytest.raises(ValueError):
+                kernel(-1.0, 1.0)
+            with pytest.raises(StabilityViolation):
+                kernel(1.0, 1.0)
 
 
 class TestPathDelay:
