@@ -1,7 +1,6 @@
 """Placement of virtualized baseband services onto multi-cloud VM pools
 under delay, capacity, cost and queue-stability constraints."""
 
-from .defaults import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
 from .des import SimResult, simulate_queue, simulate_tandem
 from .errors import (BudgetExceeded, CranplaceError, InfeasibleError, NoPath,
                      ScenarioError, StabilityViolation)
@@ -12,10 +11,10 @@ from .experiments import (RunReport, SweepPoint, compare_heuristics,
 from .heuristics import (HeuristicConfig, PlacementResult, place, place_bnb,
                          place_sa, sa_iterations)
 from .migration import MigrationParams, migration_time, try_migrate_for_fit
-from .model import (CapacityVector, Link, Node, Scenario, ServiceClass,
-                    ServiceRequest, Topology, VmType, capacity_fits,
-                    demand_of)
-from .paths import build_sorted_lists, k_shortest_paths, refresh_delays
+from .model import (DEFAULT_CLASSES, DEFAULT_VM_CATALOG, CapacityVector,
+                    Link, Node, Scenario, ServiceClass, ServiceRequest,
+                    Topology, VmType, capacity_fits, demand_of)
+from .paths import build_sorted_lists, k_shortest_paths
 from .queueing import QueueLoad, md1_delay, mm1_delay, path_delay
 from .scenario_io import load_scenario, save_scenario
 from .state import PlacementState
@@ -36,7 +35,6 @@ __all__ = [
     "evaluate_constraints", "generate_workload", "k_shortest_paths",
     "load_scenario", "make_scenario", "md1_delay", "migration_time",
     "mm1_delay", "objective", "optimal_cloud_count", "path_delay", "place",
-    "place_bnb", "place_sa", "refresh_delays", "run_sweep", "sa_iterations",
-    "save_scenario", "simulate_queue", "simulate_tandem", "solve_exact",
-    "try_migrate_for_fit",
+    "place_bnb", "place_sa", "run_sweep", "sa_iterations", "save_scenario",
+    "simulate_queue", "simulate_tandem", "solve_exact", "try_migrate_for_fit",
 ]

@@ -10,6 +10,7 @@ import sys
 import yaml
 
 from . import des
+from .defaults import DEFAULT_LOAD_FRACTION
 from .errors import (BudgetExceeded, CranplaceError, InfeasibleError, NoPath,
                      ScenarioError, StabilityViolation)
 from .exact import evaluate_constraints, objective, solve_exact
@@ -159,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bs", type=int, required=True)
     p.add_argument("--clouds", type=int, required=True)
     p.add_argument("--requests", type=int, required=True)
-    p.add_argument("--load", type=float, default=0.6)
+    p.add_argument("--load", type=float, default=DEFAULT_LOAD_FRACTION)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="cloud-count sweep")
     p.add_argument("--scenario", required=True)
     p.add_argument("--clouds", required=True, metavar="LO..HI")
-    p.add_argument("--load", type=float, default=0.6)
+    p.add_argument("--load", type=float, default=DEFAULT_LOAD_FRACTION)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)
 

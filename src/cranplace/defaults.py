@@ -1,52 +1,38 @@
-"""Shipped defaults: the EC2-style VM catalog, the four BBU functional
-service classes, and the stock parameter block used by generated scenarios."""
+"""Shipped default values: the one place each of them is written.
 
-from __future__ import annotations
-
-from .model import CapacityVector, ServiceClass, VmType
+Plain numbers only, so that every module, `model` included, can import
+this one; the stock VM catalog and service classes built from them are in
+`model`."""
 
 #: default end-to-end delay bound applied to every service class (seconds)
 DEFAULT_SLA_SECONDS = 5e-4
 
-#: static public-cloud price sheet ($/h); capacities are vCPU / GB / Gbps
-DEFAULT_VM_CATALOG = [
-    VmType("2xLarge", CapacityVector(8.0, 61.0, 5.0), 0.532),
-    VmType("4xLarge", CapacityVector(16.0, 122.0, 10.0), 1.064),
-    VmType("8xLarge", CapacityVector(32.0, 244.0, 10.0), 2.128),
-    VmType("16xLarge", CapacityVector(64.0, 488.0, 20.0), 6.669),
-    VmType("32xLarge", CapacityVector(128.0, 1952.0, 20.0), 13.338),
-]
-
-#: BBU functional split; demands are per 10 Gbps of offered traffic.
-#: CPU and network follow the published functional division; the state
-#: image each service pins on its host VM is our own sizing.
-DEFAULT_CLASSES = [
-    ServiceClass("physical", CapacityVector(2.0, 1280.0, 5.0),
-                 DEFAULT_SLA_SECONDS),
-    ServiceClass("mac_lower", CapacityVector(4.0, 1600.0, 2.0),
-                 DEFAULT_SLA_SECONDS),
-    ServiceClass("mac_upper", CapacityVector(6.0, 3280.0, 1.5),
-                 DEFAULT_SLA_SECONDS),
-    ServiceClass("nw", CapacityVector(8.0, 3600.0, 0.5),
-                 DEFAULT_SLA_SECONDS),
-]
-
-DEFAULT_CLASS_NAMES = [c.name for c in DEFAULT_CLASSES]
-
+#: offered load of a generated workload, as a fraction of backhaul capacity
+DEFAULT_LOAD_FRACTION = 0.6
 DEFAULT_PACKET_SIZE_BYTES = 500.0
 DEFAULT_VOLUME_PACKETS = 1000.0
 DEFAULT_HOLDING_TIME_S = 0.008
 DEFAULT_BS_PER_AGGREGATOR = 4
-DEFAULT_BACKHAUL_GBPS = 40.0
 DEFAULT_COST_THRESHOLD = 10000.0
-DEFAULT_RESOURCE_CAP = 50000.0
+
+#: scenario-level placement settings
+DEFAULT_DEGRADATION_FRACTION = 0.2
 DEFAULT_K_PATHS = 3
+DEFAULT_RESOURCE_CAP = 50000.0
 
-#: total compute rate (packets/s) and capacity shared by all clouds; a
-#: scenario with n clouds gets a 1/n slice per cloud
+#: generated links (Gbps): aggregator uplinks, BS access links (ignored
+#: for load), and the core ring and cloud backhaul chains
+DEFAULT_BACKHAUL_GBPS = 40.0
+DEFAULT_BS_LINK_GBPS = 100.0
+DEFAULT_CHAIN_GBPS = 320.0
+
+#: total compute rate (packets/s) and capacity (vCPU, GB, Gbps) shared by
+#: all clouds; a scenario with n clouds gets a 1/n slice per cloud
 DEFAULT_CLOUD_RATE_TOTAL = 1.2e8
-DEFAULT_CLOUD_CAPACITY_TOTAL = CapacityVector(24000.0, 90000.0, 12000.0)
+DEFAULT_CLOUD_CAPACITY_TOTAL = (24000.0, 90000.0, 12000.0)
 
+#: the `Scenario.params` keys a placement run reads; a scenario's own
+#: params override them key by key
 DEFAULT_PARAMS = {
     "packet_size_bytes": DEFAULT_PACKET_SIZE_BYTES,
     "migration_overhead_s": 1e-4,

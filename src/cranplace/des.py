@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_PACKET_SIZE_BYTES
 from .errors import StabilityViolation
 from .queueing import QueueLoad
 
@@ -103,7 +104,8 @@ def _simulate_with_drops(arrivals, services, capacity_packets):
 
 def simulate_queue(discipline: str, load: QueueLoad, n_packets: int,
                    buffer_bytes: float = 2 ** 30, seed: int = 0,
-                   packet_size_bytes: float = 500.0) -> SimResult:
+                   packet_size_bytes: float = DEFAULT_PACKET_SIZE_BYTES
+                   ) -> SimResult:
     """Seeded event simulation of one queue; mean sojourn with a 95%
     batch-means confidence interval."""
     if load.arrival_rate <= 0:

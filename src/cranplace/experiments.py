@@ -7,6 +7,7 @@ import csv
 import os
 from dataclasses import dataclass, replace
 
+from .defaults import DEFAULT_BS_PER_AGGREGATOR, DEFAULT_LOAD_FRACTION
 from .errors import ScenarioError
 from .heuristics import HeuristicConfig, PlacementResult, place
 from .model import Scenario, with_requests
@@ -34,16 +35,10 @@ class RunReport:
     files: list          # emitted CSV paths
 
 
-def _regenerated_requests(params: dict, n_requests: int,
-                          load_fraction: float):
-    return generate_workload(
-        params["n_bs"], n_requests, seed=params.get("seed", 0),
-        load_fraction=load_fraction,
-        bs_per_aggregator=params["bs_per_aggregator"],
-        backhaul_gbps=params["backhaul_gbps"],
-        packet_size_bytes=params["packet_size_bytes"],
-        volume_packets=params["volume_packets"],
-        holding_time=params["holding_time"])
+#: `generate_workload` settings a scenario's params may carry; the
+#: generator's own defaults fill the ones it lacks
+_WORKLOAD_KEYS = ("bs_per_aggregator", "backhaul_gbps", "packet_size_bytes",
+                  "volume_packets", "holding_time")
 
 
 def scenario_for_clouds(base_scenario: Scenario, n_clouds: int,
@@ -54,14 +49,17 @@ def scenario_for_clouds(base_scenario: Scenario, n_clouds: int,
     if "n_bs" not in params:
         raise ScenarioError("scenario params lack the generator settings "
                             "needed to rebuild the topology")
-    load = params.get("load_fraction", 0.6) if load_fraction is None \
-        else load_fraction
+    load = (params.get("load_fraction", DEFAULT_LOAD_FRACTION)
+            if load_fraction is None else load_fraction)
     params["load_fraction"] = load
-    topology = build_topology(params["n_bs"], n_clouds,
-                              params["bs_per_aggregator"],
-                              link_params_from(params))
-    requests = _regenerated_requests(params, len(base_scenario.requests),
-                                     load)
+    settings = {k: params[k] for k in _WORKLOAD_KEYS if k in params}
+    topology = build_topology(
+        params["n_bs"], n_clouds,
+        settings.get("bs_per_aggregator", DEFAULT_BS_PER_AGGREGATOR),
+        link_params_from(params))
+    requests = generate_workload(
+        params["n_bs"], len(base_scenario.requests),
+        seed=params.get("seed", 0), load_fraction=load, **settings)
     return replace(base_scenario, topology=topology, requests=requests,
                    params=params)
 
@@ -134,8 +132,6 @@ _METRICS = {
     "resources": lambda r: r.total_resources_used,
     "cost": lambda r: r.total_cost,
 }
-
-_ZERO_RESULT_METRICS = {name: 0 for name in _METRICS}
 
 
 def compare_heuristics(scenario: Scenario, request_axis, configs,

@@ -10,6 +10,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from .defaults import DEFAULT_PARAMS
 from .errors import ScenarioError
 from .migration import MigrationParams, try_migrate_for_fit
 from .model import CapacityVector, Scenario, capacity_fits
@@ -35,20 +36,12 @@ class HeuristicConfig:
     kind: str
     seed: int = 0
     mode: str = "dynamic"  # "dynamic" (arrival order + releases) or "static"
-    degradation_fraction: float | None = None
-    k_paths: int | None = None
-    resource_cap_total: float | None = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
             raise ScenarioError(f"unknown heuristic kind {self.kind!r}")
         if self.mode not in ("dynamic", "static"):
             raise ScenarioError(f"unknown mode {self.mode!r}")
-        if self.degradation_fraction is not None \
-                and not 0.0 <= self.degradation_fraction < 1.0:
-            raise ScenarioError("degradation_fraction must be in [0, 1)")
-        if self.k_paths is not None and self.k_paths < 1:
-            raise ScenarioError("k_paths must be >= 1")
 
 
 @dataclass
@@ -102,25 +95,18 @@ class _Run:
     def __init__(self, scenario: Scenario, config: HeuristicConfig):
         self.scenario = scenario
         self.config = config
-        params = scenario.params
-        self.degradation = (config.degradation_fraction
-                            if config.degradation_fraction is not None
-                            else scenario.degradation_fraction)
-        self.k_paths = (config.k_paths if config.k_paths is not None
-                        else scenario.k_paths)
-        self.resource_cap = (config.resource_cap_total
-                             if config.resource_cap_total is not None
-                             else scenario.resource_cap_total)
-        self.packet_size = params.get("packet_size_bytes", 500.0)
+        params = {**DEFAULT_PARAMS, **scenario.params}
+        self.degradation = scenario.degradation_fraction
+        self.packet_size = params["packet_size_bytes"]
         self.mig_params = MigrationParams(
-            overhead=params.get("migration_overhead_s", 0.5),
-            page_size=params.get("migration_page_bytes", 4096.0),
-            link_speed=params.get("migration_link_speed_bps", 10e9),
-            image_bytes=params.get("migration_image_bytes", 65536.0))
-        self.eviction_limit = params.get("migration_eviction_limit", 12)
-        self.target_limit = params.get("migration_target_limit")
+            overhead=params["migration_overhead_s"],
+            page_size=params["migration_page_bytes"],
+            link_speed=params["migration_link_speed_bps"],
+            image_bytes=params["migration_image_bytes"])
+        self.eviction_limit = params["migration_eviction_limit"]
+        self.target_limit = params["migration_target_limit"]
         self.state = PlacementState(scenario)
-        self.lists = build_sorted_lists(scenario.topology, self.k_paths)
+        self.lists = build_sorted_lists(scenario.topology, scenario.k_paths)
         self.catalog = sorted(scenario.vm_catalog,
                               key=lambda v: (v.hourly_cost, v.name))
         self.rng = random.Random(config.seed)
@@ -185,7 +171,7 @@ class _Run:
             if not residual.covers(vm.capacity):
                 continue
             if state.resources_used + vm.resource_units \
-                    > self.resource_cap + _EPS:
+                    > self.scenario.resource_cap_total + _EPS:
                 continue
             if state.live_cost() + vm.hourly_cost \
                     > self.scenario.cost_threshold + _EPS:
@@ -318,8 +304,9 @@ class _Run:
 
     def _place_sa_request(self, request, draws):
         """Best-of-Y sampling: draw candidate (path, VM-slot) tuples
-        uniformly by rejection, rank by the stored (periodically refreshed)
-        path delays, then validate exactly before committing."""
+        uniformly by rejection, rank them by each path's idle-network delay
+        as `build_sorted_lists` computed it (an SA run never refreshes the
+        stored delays), then validate exactly before committing."""
         entries = self.lists.list_for_bs(request.origin)
         if not entries:
             return None

@@ -5,20 +5,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .defaults import DEFAULT_PACKET_SIZE_BYTES, DEFAULT_PARAMS
 from .errors import NoPath
 from .paths import k_shortest_paths
 
 
 @dataclass(frozen=True)
 class MigrationParams:
-    overhead: float = 0.5            # seconds
-    page_size: float = 4096.0        # bytes
-    link_speed: float = 10e9         # bits/s fallback when no residual known
-    image_bytes: float = 65536.0     # live service state transferred per move
+    overhead: float = DEFAULT_PARAMS["migration_overhead_s"]
+    page_size: float = DEFAULT_PARAMS["migration_page_bytes"]
+    # bits/s fallback when no residual is known
+    link_speed: float = DEFAULT_PARAMS["migration_link_speed_bps"]
+    # live service state transferred per move (bytes)
+    image_bytes: float = DEFAULT_PARAMS["migration_image_bytes"]
 
     def __post_init__(self):
-        if self.overhead < 0 or self.page_size <= 0 or self.link_speed <= 0 \
-                or self.image_bytes <= 0:
+        if not (self.overhead >= 0 and self.page_size > 0
+                and self.link_speed > 0 and self.image_bytes > 0):
             raise ValueError("migration parameters must be positive")
 
 
@@ -64,7 +67,7 @@ def intercloud_link_speed(state, src_cloud: str, dst_cloud: str,
 
 
 def try_migrate_for_fit(state, request, lists, admitter, params=None,
-                        packet_size_bytes: float = 500.0,
+                        packet_size_bytes: float = DEFAULT_PACKET_SIZE_BYTES,
                         eviction_limit: int | None = None,
                         events: list | None = None,
                         target_limit: int | None = None):

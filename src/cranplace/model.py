@@ -1,11 +1,13 @@
 """Core domain types: capacities, nodes, links, VM catalog, service classes,
-requests and scenario assembly."""
+requests and scenario assembly, and the stock VM catalog and service
+classes."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 
+from . import defaults
 from .errors import ScenarioError
 
 BASE_STATION = "base_station"
@@ -16,6 +18,11 @@ NODE_KINDS = (BASE_STATION, ROUTER, CLOUD)
 
 #: Table-5 style class demands are quoted for this offered bit rate (Gbps).
 REFERENCE_GBPS = 10.0
+
+
+def _positive(x) -> bool:
+    """A finite number above zero; False for NaN and inf."""
+    return 0 < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -84,7 +91,6 @@ class Node:
     id: str
     kind: str
     capacity: CapacityVector = field(default_factory=CapacityVector.zero)
-    traffic: float = 0.0          # packets/s generated, base stations only
     service_rate: float = 0.0     # packets/s processing rate, clouds only
 
     def __post_init__(self):
@@ -92,8 +98,6 @@ class Node:
             raise ScenarioError(f"unknown node kind {self.kind!r}")
         if self.kind != CLOUD and not self.capacity.is_zero():
             raise ScenarioError(f"non-cloud node {self.id} has capacity")
-        if self.kind != BASE_STATION and self.traffic != 0:
-            raise ScenarioError(f"non-BS node {self.id} generates traffic")
         if self.kind != CLOUD and self.service_rate != 0:
             raise ScenarioError(f"non-cloud node {self.id} has service rate")
 
@@ -107,9 +111,10 @@ class Link:
     ignore_load: bool = False     # BS->aggregator backhaul links
 
     def __post_init__(self):
-        if self.service_rate_mu <= 0 or self.capacity_bw <= 0:
-            raise ScenarioError(f"link {self.src}->{self.dst} needs positive "
-                                "rate and bandwidth")
+        if not (_positive(self.service_rate_mu)
+                and _positive(self.capacity_bw)):
+            raise ScenarioError(f"link {self.src}->{self.dst} needs finite "
+                                "positive rate and bandwidth")
 
     @property
     def key(self):
@@ -170,8 +175,9 @@ class VmType:
                 or self.capacity.network <= 0:
             raise ScenarioError(f"VM type {self.name}: capacity must be "
                                 "strictly positive")
-        if self.hourly_cost <= 0:
-            raise ScenarioError(f"VM type {self.name}: cost must be positive")
+        if not _positive(self.hourly_cost):
+            raise ScenarioError(f"VM type {self.name}: cost must be finite "
+                                "and positive")
 
     @property
     def resource_units(self) -> float:
@@ -188,9 +194,9 @@ class ServiceClass:
     def __post_init__(self):
         if not self.demand_per_10gbps.nonnegative():
             raise ScenarioError(f"class {self.name}: negative demand")
-        if self.sla_delay_bound <= 0:
+        if not _positive(self.sla_delay_bound):
             raise ScenarioError(f"class {self.name}: SLA bound must be "
-                                "positive")
+                                "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -204,14 +210,13 @@ class ServiceRequest:
     holding_time: float = 1.0
 
     def __post_init__(self):
-        if self.volume_packets <= 0:
-            raise ScenarioError(f"request {self.id}: volume must be positive")
-        if self.packet_size_bytes <= 0:
-            raise ScenarioError(f"request {self.id}: packet size must be "
-                                "positive")
-        if self.holding_time <= 0:
-            raise ScenarioError(f"request {self.id}: holding time must be "
-                                "positive")
+        for name in ("volume_packets", "packet_size_bytes", "holding_time"):
+            if not _positive(getattr(self, name)):
+                raise ScenarioError(f"request {self.id}: {name} must be "
+                                    "finite and positive")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ScenarioError(f"request {self.id}: arrival_time must be "
+                                "finite and non-negative")
 
     @property
     def rate_pps(self) -> float:
@@ -230,24 +235,33 @@ class Scenario:
     classes: list[ServiceClass]
     requests: list[ServiceRequest]
     cost_threshold: float
-    degradation_fraction: float = 0.2
-    k_paths: int = 3
-    resource_cap_total: float = 50000.0
+    degradation_fraction: float = defaults.DEFAULT_DEGRADATION_FRACTION
+    k_paths: int = defaults.DEFAULT_K_PATHS
+    resource_cap_total: float = defaults.DEFAULT_RESOURCE_CAP
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.cost_threshold <= 0:
+        if not self.cost_threshold > 0:
             raise ScenarioError("cost_threshold must be positive")
         if not 0.0 <= self.degradation_fraction < 1.0:
             raise ScenarioError("degradation_fraction must be in [0, 1)")
         if self.k_paths < 1:
             raise ScenarioError("k_paths must be >= 1")
+        if not self.resource_cap_total >= 0:
+            raise ScenarioError("resource_cap_total must be non-negative")
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}
         if len(self._requests) != len(self.requests):
             raise ScenarioError("request ids must be unique")
+        # link rates are converted at this size, request rates at their own
+        packet_size = self.params.get("packet_size_bytes",
+                                      defaults.DEFAULT_PACKET_SIZE_BYTES)
         for r in self.requests:
+            if r.packet_size_bytes != packet_size:
+                raise ScenarioError(f"request {r.id}: packet size "
+                                    f"{r.packet_size_bytes} differs from "
+                                    f"the scenario's {packet_size}")
             if r.class_name not in self._classes:
                 raise ScenarioError(f"request {r.id}: unknown class "
                                     f"{r.class_name!r}")
@@ -286,3 +300,25 @@ def demand_of(request: ServiceRequest, scenario: Scenario) -> CapacityVector:
 def with_requests(scenario: Scenario, requests) -> Scenario:
     """Scenario copy over a different request sequence."""
     return replace(scenario, requests=list(requests))
+
+
+#: static public-cloud price sheet ($/h); capacities are vCPU / GB / Gbps
+DEFAULT_VM_CATALOG = [
+    VmType("2xLarge", CapacityVector(8.0, 61.0, 5.0), 0.532),
+    VmType("4xLarge", CapacityVector(16.0, 122.0, 10.0), 1.064),
+    VmType("8xLarge", CapacityVector(32.0, 244.0, 10.0), 2.128),
+    VmType("16xLarge", CapacityVector(64.0, 488.0, 20.0), 6.669),
+    VmType("32xLarge", CapacityVector(128.0, 1952.0, 20.0), 13.338),
+]
+
+#: BBU functional split; demands are per 10 Gbps of offered traffic.
+#: CPU and network follow the published functional division; the state
+#: image each service pins on its host VM is our own sizing.
+DEFAULT_CLASSES = [
+    ServiceClass(name, CapacityVector(*demand), defaults.DEFAULT_SLA_SECONDS)
+    for name, demand in (("physical", (2.0, 1280.0, 5.0)),
+                         ("mac_lower", (4.0, 1600.0, 2.0)),
+                         ("mac_upper", (6.0, 3280.0, 1.5)),
+                         ("nw", (8.0, 3600.0, 0.5)))]
+
+DEFAULT_CLASS_NAMES = [c.name for c in DEFAULT_CLASSES]

@@ -6,7 +6,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .errors import NoPath
+from .errors import NoPath, ScenarioError
 from .model import BASE_STATION, CLOUD, Topology
 from .queueing import path_delay
 
@@ -45,7 +45,8 @@ def _simple_paths_by_hops(topology: Topology, src: str, dst: str):
     while heap:
         pops += 1
         if pops > _ENUMERATION_LIMIT:
-            raise RuntimeError("path enumeration limit exceeded")
+            raise ScenarioError(f"enumerating the paths from {src} to {dst} "
+                                f"exceeded {_ENUMERATION_LIMIT} steps")
         hops, nodes = heapq.heappop(heap)
         tail = nodes[-1]
         if tail == dst:
@@ -143,10 +144,3 @@ def refresh_one(lists: SortedPathLists, first_hop: str, link_loads) -> None:
         e.current_delay = path_delay(e.links, link_loads)
     entries.sort(key=lambda e: e.current_delay)
 
-
-def refresh_delays(lists: SortedPathLists, link_loads) -> SortedPathLists:
-    """Recompute every entry's delay from the given link loads and re-sort
-    each list; the sort is stable so exact ties keep their prior order."""
-    for hop in lists.by_first_hop:
-        refresh_one(lists, hop, link_loads)
-    return lists

@@ -1,5 +1,4 @@
-"""Closed-form delay models: M/M/1 clouds, M/D/1 links, path sums and
-load accounting.
+"""Closed-form delay models: M/M/1 clouds, M/D/1 links and path sums.
 
 `md1` and `mm1` are the float kernels every delay in the program goes
 through; `md1_delay`/`mm1_delay` take a `QueueLoad` and exist for callers
@@ -9,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CranplaceError, StabilityViolation
+from .errors import StabilityViolation
 
 
 @dataclass(frozen=True)
@@ -18,9 +17,9 @@ class QueueLoad:
     service_rate: float  # packets/s
 
     def __post_init__(self):
-        if self.service_rate <= 0:
+        if not self.service_rate > 0:
             raise ValueError("service_rate must be positive")
-        if self.arrival_rate < 0:
+        if not self.arrival_rate >= 0:
             raise ValueError("arrival_rate must be non-negative")
 
     @property
@@ -31,9 +30,9 @@ class QueueLoad:
 def mm1(psi: float, upsilon: float) -> float:
     """Mean sojourn time (seconds) of an M/M/1 queue with arrival rate
     `psi` and service rate `upsilon` (packets/s): (1/mu) / (1 - rho)."""
-    if upsilon <= 0:
+    if not upsilon > 0:
         raise ValueError("service_rate must be positive")
-    if psi < 0:
+    if not psi >= 0:
         raise ValueError("arrival_rate must be non-negative")
     rho = psi / upsilon
     if rho >= 1.0:
@@ -46,9 +45,9 @@ def md1(lam: float, mu: float) -> float:
     """Mean sojourn time (seconds) of an M/D/1 queue with arrival rate
     `lam` and service rate `mu` (packets/s):
     (1 / 2mu) * (2 - rho) / (1 - rho)."""
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError("service_rate must be positive")
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError("arrival_rate must be non-negative")
     rho = lam / mu
     if rho >= 1.0:
@@ -85,19 +84,3 @@ def path_delay(links, loads) -> float:
         total += md1(arrival, link.service_rate_mu)
     return total
 
-
-def accumulate_path_loads(state, scenario, paths_by_id) -> dict[str, float]:
-    """Recompute per-path loads from scratch out of the allocation matrix.
-
-    `paths_by_id` maps path id to a PathEntry; every allocation must
-    reference a known path. Conservation: the values sum to the total
-    admitted request rate.
-    """
-    loads: dict[str, float] = {}
-    for req_id, alloc in state.allocations.items():
-        if alloc.path_id not in paths_by_id:
-            raise CranplaceError(f"allocation for request {req_id} "
-                                 f"references unknown path {alloc.path_id}")
-        rate = scenario.request(req_id).rate_pps
-        loads[alloc.path_id] = loads.get(alloc.path_id, 0.0) + rate
-    return loads

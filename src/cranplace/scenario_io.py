@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import yaml
 
 from .errors import ScenarioError
@@ -29,7 +31,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "nodes": [
                 {"id": n.id, "kind": n.kind,
                  "capacity": _cap_to_list(n.capacity),
-                 "traffic": n.traffic, "service_rate": n.service_rate}
+                 "service_rate": n.service_rate}
                 for n in (topo.nodes[k] for k in sorted(topo.nodes))],
             "links": [
                 {"src": l.src, "dst": l.dst,
@@ -61,39 +63,32 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+def _build(cls, d: dict, vector: str | None = None, **given):
+    """`cls(**given)` plus the keys of `d` that name its other fields, so
+    that a key the file lacks takes the field's default and one it does not
+    know (such as the `traffic` older files carry) is ignored; the field
+    named `vector` is read as a [cpu, storage, network] list."""
+    kwargs = {f.name: d[f.name] for f in fields(cls)
+              if f.name in d and f.name not in given}
+    if vector in kwargs:
+        kwargs[vector] = CapacityVector(*kwargs[vector])
+    return cls(**kwargs, **given)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         topo_data = data["topology"]
-        nodes = [Node(d["id"], d["kind"],
-                      CapacityVector(*d.get("capacity", (0, 0, 0))),
-                      d.get("traffic", 0.0), d.get("service_rate", 0.0))
-                 for d in topo_data["nodes"]]
-        links = [Link(d["src"], d["dst"], d["service_rate_mu"],
-                      d["capacity_bw"], d.get("ignore_load", False))
-                 for d in topo_data["links"]]
-        vm_catalog = [VmType(d["name"], CapacityVector(*d["capacity"]),
-                             d["hourly_cost"]) for d in data["vm_catalog"]]
-        classes = [ServiceClass(d["name"],
-                                CapacityVector(*d["demand_per_10gbps"]),
-                                d["sla_delay_bound"])
-                   for d in data["classes"]]
-        requests = [ServiceRequest(d["id"], d["origin"], d["class_name"],
-                                   d["volume_packets"],
-                                   d["packet_size_bytes"],
-                                   d.get("arrival_time", 0.0),
-                                   d.get("holding_time", 1.0))
-                    for d in data["requests"]]
-        return Scenario(
-            topology=Topology(nodes, links),
-            vm_catalog=vm_catalog,
-            classes=classes,
-            requests=requests,
-            cost_threshold=data["cost_threshold"],
-            degradation_fraction=data.get("degradation_fraction", 0.2),
-            k_paths=data.get("k_paths", 3),
-            resource_cap_total=data.get("resource_cap_total", 50000.0),
-            params=dict(data.get("params", {})),
-        )
+        return _build(
+            Scenario, data,
+            topology=Topology(
+                [_build(Node, d, "capacity") for d in topo_data["nodes"]],
+                [_build(Link, d) for d in topo_data["links"]]),
+            vm_catalog=[_build(VmType, d, "capacity")
+                        for d in data["vm_catalog"]],
+            classes=[_build(ServiceClass, d, "demand_per_10gbps")
+                     for d in data["classes"]],
+            requests=[_build(ServiceRequest, d) for d in data["requests"]],
+            params=dict(data.get("params", {})))
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario data: {exc}") from exc
 

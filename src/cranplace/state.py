@@ -81,7 +81,6 @@ class PlacementState:
             c.id: c.capacity for c in scenario.topology.clouds()}
         self.link_load: dict[tuple[str, str], float] = {}
         self.cloud_load: dict[str, float] = {}
-        self.path_load: dict[str, float] = {}
         self.dropped: list[int] = []
         self.migrations: int = 0
         self.instances_launched: int = 0
@@ -159,7 +158,7 @@ class PlacementState:
         item = (residual_key(inst.residual), inst.id)
         pos = bisect_left(lst, item)
         if pos == len(lst) or lst[pos] != item:
-            raise RuntimeError("VM index out of sync")
+            raise CranplaceError("VM index out of sync")
         del lst[pos]
         if self._journal is not None:
             self._journal.append((lst.insert, (pos, item)))
@@ -243,7 +242,6 @@ class PlacementState:
             for key in links:
                 self._save(self.link_load, key)
             self._save(self.cloud_load, inst.cloud)
-            self._save(self.path_load, path_id)
         self._set_residual(inst, new_residual)
         inst.assigned[request.id] = consumed
         alloc = Allocation(request.id, inst.cloud, instance_id, path_id,
@@ -254,7 +252,6 @@ class PlacementState:
             self.link_load[key] = self.link_load.get(key, 0.0) + rate
         self.cloud_load[inst.cloud] = (self.cloud_load.get(inst.cloud, 0.0)
                                        + rate)
-        self.path_load[path_id] = self.path_load.get(path_id, 0.0) + rate
         return alloc
 
     def release(self, request_id: int) -> Allocation:
@@ -274,7 +271,6 @@ class PlacementState:
             for key in alloc.links:
                 self._save(self.link_load, key)
             self._save(self.cloud_load, alloc.cloud)
-            self._save(self.path_load, alloc.path_id)
         del inst.assigned[request_id]
         if inst.assigned:
             self._set_residual(inst, inst.residual + alloc.consumed)
@@ -291,11 +287,6 @@ class PlacementState:
             del self.cloud_load[alloc.cloud]
         else:
             self.cloud_load[alloc.cloud] = cloud_left
-        path_left = self.path_load[alloc.path_id] - alloc.rate_pps
-        if path_left <= 1e-12:
-            del self.path_load[alloc.path_id]
-        else:
-            self.path_load[alloc.path_id] = path_left
         return alloc
 
     def drop(self, request_id: int) -> None:
@@ -320,7 +311,6 @@ class PlacementState:
         other.residual_cloud = dict(self.residual_cloud)
         other.link_load = dict(self.link_load)
         other.cloud_load = dict(self.cloud_load)
-        other.path_load = dict(self.path_load)
         other.dropped = list(self.dropped)
         other.migrations = self.migrations
         other.instances_launched = self.instances_launched

@@ -7,6 +7,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
+from . import defaults
 from .errors import ScenarioError
 from .model import (BASE_STATION, CLOUD, ROUTER, CapacityVector, Link, Node,
                     Topology)
@@ -16,13 +17,15 @@ from .model import (BASE_STATION, CLOUD, ROUTER, CapacityVector, Link, Node,
 class LinkParams:
     """Rates and capacities used when generating a topology."""
 
-    backhaul_gbps: float = 20.0       # aggregator uplink bandwidth
-    bs_link_gbps: float = 100.0       # BS access links (ignored for load)
-    chain_gbps: float = 320.0         # core ring and cloud backhaul chains
-    packet_size_bytes: float = 500.0  # converts Gbps to packets/s
+    backhaul_gbps: float = defaults.DEFAULT_BACKHAUL_GBPS
+    bs_link_gbps: float = defaults.DEFAULT_BS_LINK_GBPS
+    chain_gbps: float = defaults.DEFAULT_CHAIN_GBPS
+    # converts Gbps to packets/s
+    packet_size_bytes: float = defaults.DEFAULT_PACKET_SIZE_BYTES
     cloud_capacity_total: CapacityVector = field(
-        default_factory=lambda: CapacityVector(20000.0, 200000.0, 20000.0))
-    cloud_service_rate_total: float = 4.0e7  # packets/s across all clouds
+        default_factory=lambda: CapacityVector(
+            *defaults.DEFAULT_CLOUD_CAPACITY_TOTAL))
+    cloud_service_rate_total: float = defaults.DEFAULT_CLOUD_RATE_TOTAL
     max_core_routers: int | None = None
 
     def mu_for(self, gbps: float) -> float:
@@ -82,7 +85,7 @@ def build_topology(n_bs: int, n_clouds: int, bs_per_aggregator: int,
     links: list[Link] = []
 
     for b in range(n_bs):
-        nodes.append(Node(bs_id(b), BASE_STATION, traffic=0.0))
+        nodes.append(Node(bs_id(b), BASE_STATION))
     for a in range(n_agg):
         nodes.append(Node(f"agg{a}", ROUTER))
     for k in range(n_clouds):

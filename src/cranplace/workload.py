@@ -8,12 +8,15 @@ import random
 
 from . import defaults
 from .errors import ScenarioError
-from .model import CapacityVector, Scenario, ServiceRequest
+from .model import (DEFAULT_CLASS_NAMES, DEFAULT_CLASSES,
+                    DEFAULT_VM_CATALOG, CapacityVector, Scenario,
+                    ServiceRequest)
 from .topology import LinkParams, bs_node_id, build_topology
 
 
 def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
-                      class_mix=None, load_fraction: float = 0.6,
+                      class_mix=None,
+                      load_fraction: float = defaults.DEFAULT_LOAD_FRACTION,
                       bs_per_aggregator: int = defaults.DEFAULT_BS_PER_AGGREGATOR,
                       backhaul_gbps: float = defaults.DEFAULT_BACKHAUL_GBPS,
                       packet_size_bytes: float = defaults.DEFAULT_PACKET_SIZE_BYTES,
@@ -33,7 +36,7 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     if not 0.0 < load_fraction < 1.0:
         raise ScenarioError("load_fraction must be in (0, 1)")
     names = list(class_names) if class_names is not None \
-        else list(defaults.DEFAULT_CLASS_NAMES)
+        else list(DEFAULT_CLASS_NAMES)
     if class_mix is None:
         weights = [1.0] * len(names)
     else:
@@ -59,37 +62,31 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     return requests
 
 
+_LINK_PARAM_KEYS = ("backhaul_gbps", "bs_link_gbps", "chain_gbps",
+                    "packet_size_bytes", "cloud_service_rate_total")
+
+
 def link_params_from(params: dict) -> LinkParams:
-    """Topology link/capacity settings out of a scenario's params block."""
+    """Topology link/capacity settings out of a scenario's params block;
+    `LinkParams`' own defaults fill the keys it lacks."""
+    kwargs = {k: params[k] for k in _LINK_PARAM_KEYS if k in params}
     cap = params.get("cloud_capacity_total")
-    if cap is None:
-        cap = defaults.DEFAULT_CLOUD_CAPACITY_TOTAL
-    elif not isinstance(cap, CapacityVector):
-        cap = CapacityVector(*cap)
-    return LinkParams(
-        backhaul_gbps=params.get("backhaul_gbps",
-                                 defaults.DEFAULT_BACKHAUL_GBPS),
-        bs_link_gbps=params.get("bs_link_gbps", 100.0),
-        chain_gbps=params.get("chain_gbps", 320.0),
-        packet_size_bytes=params.get("packet_size_bytes",
-                                     defaults.DEFAULT_PACKET_SIZE_BYTES),
-        cloud_capacity_total=cap,
-        cloud_service_rate_total=params.get(
-            "cloud_service_rate_total", defaults.DEFAULT_CLOUD_RATE_TOTAL),
-    )
+    if cap is not None:
+        kwargs["cloud_capacity_total"] = (
+            cap if isinstance(cap, CapacityVector) else CapacityVector(*cap))
+    return LinkParams(**kwargs)
 
 
 def make_scenario(n_bs: int, n_clouds: int, n_requests: int,
-                  load_fraction: float = 0.6, seed: int = 0,
+                  load_fraction: float = defaults.DEFAULT_LOAD_FRACTION,
+                  seed: int = 0,
                   cost_threshold: float = defaults.DEFAULT_COST_THRESHOLD,
                   resource_cap_total: float = defaults.DEFAULT_RESOURCE_CAP,
                   params: dict | None = None) -> Scenario:
     """Stock scenario: generated topology, stock VM catalog and
     service classes, and a load-targeted workload. Everything needed to
     rebuild the topology for a different cloud count is kept in params."""
-    merged = dict(defaults.DEFAULT_PARAMS)
-    if params:
-        merged.update(params)
+    merged = {**defaults.DEFAULT_PARAMS, **(params or {})}
     merged.setdefault("n_bs", n_bs)
     merged.setdefault("bs_per_aggregator", defaults.DEFAULT_BS_PER_AGGREGATOR)
     merged.setdefault("load_fraction", load_fraction)
@@ -109,12 +106,10 @@ def make_scenario(n_bs: int, n_clouds: int, n_requests: int,
         holding_time=merged["holding_time"])
     return Scenario(
         topology=topology,
-        vm_catalog=list(defaults.DEFAULT_VM_CATALOG),
-        classes=list(defaults.DEFAULT_CLASSES),
+        vm_catalog=list(DEFAULT_VM_CATALOG),
+        classes=list(DEFAULT_CLASSES),
         requests=requests,
         cost_threshold=cost_threshold,
-        degradation_fraction=0.2,
-        k_paths=defaults.DEFAULT_K_PATHS,
         resource_cap_total=resource_cap_total,
         params=merged,
     )

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from cranplace.defaults import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
+from cranplace.model import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
 from cranplace.model import (CapacityVector, Scenario, ServiceRequest)
 from cranplace.topology import LinkParams, build_topology, bs_node_id
 

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from cranplace import paths
 from cranplace.cli import HEURISTIC_NAMES, main
 from cranplace.scenario_io import load_scenario, save_scenario
 
@@ -110,6 +111,15 @@ class TestExitCodes:
         assert main(["simulate", "--discipline", "mm1", "--rho", "0.5",
                      "--mu", "1.0", "--packets", "3"]) == 2
         capsys.readouterr()
+
+    def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
+                                           capsys, monkeypatch):
+        monkeypatch.setattr(paths, "_ENUMERATION_LIMIT", 1)
+        rc = main(["place", "--scenario", scenario_file,
+                   "--heuristic", "bnb", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("command", [
         ["solve-exact"], ["place", "--heuristic", "bnb"]])

@@ -29,6 +29,17 @@ class TestScenarioForClouds:
         assert hot.requests[-1].arrival_time \
             < base_scenario.requests[-1].arrival_time
 
+    def test_absent_generator_settings_take_the_defaults(self,
+                                                          base_scenario):
+        import dataclasses
+        bare = dataclasses.replace(base_scenario, params={
+            k: base_scenario.params[k]
+            for k in ("n_bs", "seed", "load_fraction")})
+        full = scenario_for_clouds(base_scenario, 4)
+        rebuilt = scenario_for_clouds(bare, 4)
+        assert rebuilt.requests == full.requests
+        assert rebuilt.topology.links == full.topology.links
+
     def test_requires_generator_settings(self, base_scenario):
         import dataclasses
         stripped = dataclasses.replace(base_scenario, params={})

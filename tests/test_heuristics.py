@@ -1,6 +1,8 @@
 import hashlib
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -33,20 +35,30 @@ class TestConfig:
         with pytest.raises(ScenarioError):
             HeuristicConfig("bnb_plain", mode="batch")
 
+    # a run reads the degradation fraction and k_paths from its scenario,
+    # the one place they are set
+
     @pytest.mark.parametrize("fraction", [1.0, 1.5, -0.1, math.nan,
                                           math.inf])
-    def test_degradation_outside_unit_interval_rejected(self, fraction):
+    def test_degradation_outside_unit_interval_rejected(self, easy_scenario,
+                                                        fraction):
         with pytest.raises(ScenarioError):
-            HeuristicConfig("sa_short", degradation_fraction=fraction)
+            replace(easy_scenario, degradation_fraction=fraction)
 
     @pytest.mark.parametrize("k", [0, -1])
-    def test_k_paths_below_one_rejected(self, k):
+    def test_k_paths_below_one_rejected(self, easy_scenario, k):
         with pytest.raises(ScenarioError):
-            HeuristicConfig("bnb_plain", k_paths=k)
+            replace(easy_scenario, k_paths=k)
 
-    def test_boundary_overrides_accepted(self):
-        HeuristicConfig("sa_short", degradation_fraction=0.0, k_paths=1)
-        HeuristicConfig("sa_short", degradation_fraction=0.999)
+    def test_boundary_overrides_accepted(self, easy_scenario):
+        for fraction, k in ((0.0, 1), (0.999, 3)):
+            scenario = replace(easy_scenario, degradation_fraction=fraction,
+                               k_paths=k)
+            run = _Run(scenario, HeuristicConfig("sa_short"))
+            assert run.degradation == fraction
+            per_pair = Counter((e.nodes[0], e.cloud)
+                               for e in run.lists.paths_by_id.values())
+            assert max(per_pair.values()) <= k
 
     def test_dispatch_guards(self, easy_scenario):
         with pytest.raises(ScenarioError):
@@ -126,13 +138,6 @@ class TestPackingPolicies:
             res = place(scenario, HeuristicConfig(kind, seed=11))
             assert res.total_resources_used <= 200.0
             assert res.dropped > 0  # the cap must actually bind
-
-    def test_config_cap_overrides_scenario(self):
-        scenario = make_scenario(8, 2, 400, seed=11, cost_threshold=1e9,
-                                 resource_cap_total=1e9)
-        res = place(scenario, HeuristicConfig("bnb_sorted_asc", seed=11,
-                                              resource_cap_total=200.0))
-        assert res.total_resources_used <= 200.0
 
 
 class TestSaSampling:

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from cranplace.defaults import DEFAULT_PARAMS
 from cranplace.heuristics import HeuristicConfig, place
 from cranplace.migration import (MigrationParams, intercloud_link_speed,
                                  migration_time, try_migrate_for_fit)
@@ -10,7 +13,7 @@ from cranplace.state import PlacementState
 from cranplace.topology import LinkParams, build_topology
 from cranplace.workload import make_scenario
 
-from cranplace.defaults import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
+from cranplace.model import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
 
 
 class TestMigrationTime:
@@ -217,3 +220,17 @@ def test_saturated_run_outputs_are_pinned(saturated_scenario, kind):
             repr(r.total_link_delay), repr(r.total_compute_delay),
             repr(r.total_migration_delay)) == SATURATED_OUTPUTS[kind]
     assert r.state._journal is None
+
+
+@pytest.mark.parametrize("kind", sorted(SATURATED_OUTPUTS))
+def test_scenario_without_default_params_places_the_same(saturated_scenario,
+                                                         kind):
+    # a hand-written file that leaves the stock params out gets the stock
+    # values, so it places exactly as the generated scenario does
+    bare = replace(saturated_scenario, params={
+        k: v for k, v in saturated_scenario.params.items()
+        if k not in DEFAULT_PARAMS})
+    r = place(bare, HeuristicConfig(kind, seed=42))
+    assert (r.dropped, r.migrations, r.first_drop_index, r.work_units,
+            repr(r.total_link_delay), repr(r.total_compute_delay),
+            repr(r.total_migration_delay)) == SATURATED_OUTPUTS[kind]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -68,6 +69,11 @@ class TestNodesAndLinks:
             Link("a", "b", 0.0, 1.0)
         with pytest.raises(ScenarioError):
             Link("a", "b", 1.0, -1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ScenarioError):
+                Link("a", "b", bad, 1.0)
+            with pytest.raises(ScenarioError):
+                Link("a", "b", 1.0, bad)
 
     def test_topology_rejects_duplicates_and_dangling(self):
         a = Node("a", "router")
@@ -95,14 +101,16 @@ class TestCatalogAndClasses:
     def test_vm_validation(self):
         with pytest.raises(ScenarioError):
             VmType("t", CapacityVector(0.0, 1.0, 1.0), 0.5)
-        with pytest.raises(ScenarioError):
-            VmType("t", CapacityVector(1.0, 1.0, 1.0), 0.0)
+        for cost in (0.0, math.nan, math.inf):
+            with pytest.raises(ScenarioError):
+                VmType("t", CapacityVector(1.0, 1.0, 1.0), cost)
 
     def test_class_validation(self):
         with pytest.raises(ScenarioError):
             ServiceClass("c", CapacityVector(-1.0, 0.0, 0.0), 1.0)
-        with pytest.raises(ScenarioError):
-            ServiceClass("c", CapacityVector(1.0, 1.0, 1.0), 0.0)
+        for bound in (0.0, math.nan, math.inf):
+            with pytest.raises(ScenarioError):
+                ServiceClass("c", CapacityVector(1.0, 1.0, 1.0), bound)
 
 
 class TestRequests:
@@ -115,8 +123,17 @@ class TestRequests:
     def test_validation(self):
         with pytest.raises(ScenarioError):
             ServiceRequest(0, "bs0", "c", 0.0, 500.0)
-        with pytest.raises(ScenarioError):
-            ServiceRequest(0, "bs0", "c", 1.0, 500.0, holding_time=0.0)
+        for holding in (0.0, math.nan, math.inf):
+            with pytest.raises(ScenarioError):
+                ServiceRequest(0, "bs0", "c", 1.0, 500.0,
+                               holding_time=holding)
+        for volume in (math.nan, math.inf):
+            with pytest.raises(ScenarioError):
+                ServiceRequest(0, "bs0", "c", volume, 500.0)
+        for arrival in (-1.0, math.nan, math.inf):
+            with pytest.raises(ScenarioError):
+                ServiceRequest(0, "bs0", "c", 1.0, 500.0,
+                               arrival_time=arrival)
 
 
 class TestScenario:
@@ -143,6 +160,29 @@ class TestScenario:
         bad = ServiceRequest(99, "cloud0", "physical", 1000.0, 500.0)
         with pytest.raises(ScenarioError):
             with_requests(tiny_scenario, [bad])
+
+    def test_mixed_packet_sizes_rejected(self, tiny_scenario):
+        # link rates are converted at the scenario's packet size, request
+        # rates at their own, so the two must agree
+        first = tiny_scenario.requests[0]
+        odd = ServiceRequest(99, first.origin, first.class_name, 1000.0,
+                             1500.0)
+        with pytest.raises(ScenarioError):
+            with_requests(tiny_scenario, [first, odd])
+        # without a params entry the default packet size applies
+        bare = replace(tiny_scenario, params={})
+        assert bare.requests == tiny_scenario.requests
+        with pytest.raises(ScenarioError):
+            replace(bare, requests=[odd])
+        replace(bare, params={"packet_size_bytes": 1500.0}, requests=[odd])
+
+    def test_cost_threshold_and_resource_cap_validated(self, tiny_scenario):
+        for bad in (0.0, math.nan):
+            with pytest.raises(ScenarioError):
+                replace(tiny_scenario, cost_threshold=bad)
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ScenarioError):
+                replace(tiny_scenario, resource_cap_total=bad)
 
     def test_lookup_errors(self, tiny_scenario):
         with pytest.raises(ScenarioError):

@@ -1,8 +1,7 @@
 import pytest
 
 from cranplace.errors import NoPath
-from cranplace.paths import (build_sorted_lists, k_shortest_paths,
-                             refresh_delays, refresh_one)
+from cranplace.paths import build_sorted_lists, k_shortest_paths, refresh_one
 from cranplace.topology import build_topology
 
 
@@ -73,9 +72,12 @@ class TestSortedLists:
 
     def test_refresh_delays_idempotent_when_idle(self, ring_topo):
         lists = build_sorted_lists(ring_topo, 2)
-        before = [e.id for e in lists.list_for_bs("bs00")]
-        refresh_delays(lists, {})
-        assert [e.id for e in lists.list_for_bs("bs00")] == before
+        before = {hop: [e.id for e in entries]
+                  for hop, entries in lists.by_first_hop.items()}
+        for hop in lists.by_first_hop:
+            refresh_one(lists, hop, {})
+        assert {hop: [e.id for e in entries] for hop, entries
+                in lists.by_first_hop.items()} == before
 
     def test_path_ids_unique(self, ring_topo):
         lists = build_sorted_lists(ring_topo, 3)

@@ -1,11 +1,13 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cranplace.errors import CranplaceError, StabilityViolation
+from cranplace.errors import StabilityViolation
 from cranplace.model import Link
-from cranplace.queueing import (QueueLoad, accumulate_path_loads, md1,
-                                md1_delay, mm1, mm1_delay, path_delay)
+from cranplace.queueing import (QueueLoad, md1, md1_delay, mm1, mm1_delay,
+                                path_delay)
 
 
 class TestQueueLoad:
@@ -17,6 +19,10 @@ class TestQueueLoad:
             QueueLoad(1.0, 0.0)
         with pytest.raises(ValueError):
             QueueLoad(-1.0, 1.0)
+        with pytest.raises(ValueError):
+            QueueLoad(1.0, math.nan)
+        with pytest.raises(ValueError):
+            QueueLoad(math.nan, 1.0)
 
 
 class TestClosedForms:
@@ -93,6 +99,10 @@ class TestKernels:
                 kernel(1.0, 0.0)
             with pytest.raises(ValueError):
                 kernel(-1.0, 1.0)
+            with pytest.raises(ValueError):
+                kernel(1.0, math.nan)
+            with pytest.raises(ValueError):
+                kernel(math.nan, 1.0)
             with pytest.raises(StabilityViolation):
                 kernel(1.0, 1.0)
 
@@ -122,24 +132,3 @@ class TestPathDelay:
             path_delay(links, {("a", "b"): 10.0})
         assert err.value.where == ("a", "b")
 
-
-class TestAccumulatePathLoads:
-    def test_conservation(self, tiny_scenario):
-        from cranplace.heuristics import HeuristicConfig, place
-        from cranplace.paths import build_sorted_lists
-        result = place(tiny_scenario, HeuristicConfig("bnb_plain",
-                                                      mode="static"))
-        lists = build_sorted_lists(tiny_scenario.topology,
-                                   tiny_scenario.k_paths)
-        loads = accumulate_path_loads(result.state, tiny_scenario,
-                                      lists.paths_by_id)
-        total = sum(tiny_scenario.requests[rid].rate_pps
-                    for rid in result.state.allocations)
-        assert sum(loads.values()) == pytest.approx(total)
-
-    def test_unknown_path_rejected(self, tiny_scenario):
-        from cranplace.heuristics import HeuristicConfig, place
-        result = place(tiny_scenario, HeuristicConfig("bnb_plain",
-                                                      mode="static"))
-        with pytest.raises(CranplaceError):
-            accumulate_path_loads(result.state, tiny_scenario, {})

@@ -1,7 +1,14 @@
+import os
+import tempfile
+
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cranplace.errors import ScenarioError
-from cranplace.model import CapacityVector
+from cranplace.model import (CapacityVector, Link, Node, Scenario,
+                             ServiceRequest, Topology)
 from cranplace.scenario_io import (load_scenario, save_scenario,
                                    scenario_from_dict, scenario_to_dict)
 from cranplace.workload import make_scenario
@@ -52,6 +59,50 @@ class TestRoundTrip:
         save_scenario(scenario, str(path))
         again = load_scenario(str(path))
         assert again.params["cloud_capacity_total"] == [1.0, 2.0, 3.0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_micro_scenarios_survive_a_file_round_trip(self, seed):
+        scenario = micro_scenario(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.yaml")
+            save_scenario(scenario, path)
+            _assert_scenarios_equal(scenario, load_scenario(path))
+
+    def test_legacy_traffic_key_still_loads(self, tmp_path):
+        # older files carry a `traffic: 0.0` on every node
+        scenario = micro_scenario(2)
+        data = scenario_to_dict(scenario)
+        assert all("traffic" not in n for n in data["topology"]["nodes"])
+        for n in data["topology"]["nodes"]:
+            n["traffic"] = 0.0
+        path = tmp_path / "legacy.yaml"
+        path.write_text(yaml.safe_dump(data))
+        _assert_scenarios_equal(scenario, load_scenario(str(path)))
+
+    def test_omitted_keys_take_the_field_defaults(self, tiny_scenario):
+        data = scenario_to_dict(tiny_scenario)
+        for key in ("degradation_fraction", "k_paths", "resource_cap_total",
+                    "params"):
+            del data[key]
+        for n in data["topology"]["nodes"]:
+            del n["capacity"], n["service_rate"]
+        for l in data["topology"]["links"]:
+            del l["ignore_load"]
+        for r in data["requests"]:
+            del r["arrival_time"], r["holding_time"]
+        got = scenario_from_dict(data)
+        want = Scenario(
+            Topology([Node(n.id, n.kind) for n in
+                      tiny_scenario.topology.nodes.values()],
+                     [Link(l.src, l.dst, l.service_rate_mu, l.capacity_bw)
+                      for l in tiny_scenario.topology.links.values()]),
+            tiny_scenario.vm_catalog, tiny_scenario.classes,
+            [ServiceRequest(r.id, r.origin, r.class_name, r.volume_packets,
+                            r.packet_size_bytes)
+             for r in tiny_scenario.requests],
+            tiny_scenario.cost_threshold)
+        _assert_scenarios_equal(want, got)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         scenario = micro_scenario(2)

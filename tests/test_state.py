@@ -50,6 +50,14 @@ class TestInstanceLifecycle:
         with pytest.raises(CranplaceError):
             state.launch_instance(cloud, vm)
 
+    def test_index_desync_is_a_cranplace_error(self, tiny_scenario):
+        state = PlacementState(tiny_scenario)
+        cloud = tiny_scenario.topology.clouds()[0].id
+        inst = state.launch_instance(cloud, tiny_scenario.vm_catalog[0])
+        state.residual_index[cloud].clear()
+        with pytest.raises(CranplaceError):
+            state.retire_instance(inst.id)
+
 
 class TestAdmitRelease:
     def test_admit_updates_loads_and_instance(self, tiny_scenario):
@@ -64,7 +72,6 @@ class TestAdmitRelease:
         for key in entry.link_keys:
             assert state.link_load[key] == req.rate_pps
         assert state.cloud_load[entry.cloud] == req.rate_pps
-        assert state.path_load[entry.id] == req.rate_pps
 
     def test_release_is_exact_inverse(self, tiny_scenario):
         state = PlacementState(tiny_scenario)
@@ -172,7 +179,6 @@ def _snapshot(state):
         dict(state.allocations),
         dict(state.link_load),
         dict(state.cloud_load),
-        dict(state.path_load),
         dict(state.residual_cloud),
         {iid: (inst.cloud, inst.residual, dict(inst.assigned))
          for iid, inst in state.instances.items()},

@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from cranplace.defaults import (DEFAULT_CLASS_NAMES, DEFAULT_PARAMS,
-                                DEFAULT_VM_CATALOG)
+from cranplace.defaults import DEFAULT_PARAMS
 from cranplace.errors import ScenarioError
-from cranplace.model import CapacityVector
+from cranplace.model import (DEFAULT_CLASS_NAMES, DEFAULT_VM_CATALOG,
+                             CapacityVector)
 from cranplace.workload import (generate_workload, link_params_from,
                                 make_scenario)
 
