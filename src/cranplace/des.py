@@ -1,11 +1,12 @@
 """Discrete-event validation of the analytic queue models: single M/M/1
-and M/D/1 queues and tandem paths, with drop-tail buffers."""
+and M/D/1 queues and tandem paths, with drop-tail buffers.
+
+numpy is imported inside the functions that use it, so that importing
+cranplace, which re-exports the simulator, does not load it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .defaults import DEFAULT_PACKET_SIZE_BYTES
 from .errors import StabilityViolation
@@ -30,6 +31,7 @@ class SimResult:
 
 
 def _draw_services(rng, discipline, n, service_rate):
+    import numpy as np
     if discipline == MM1:
         return rng.exponential(1.0 / service_rate, size=n)
     if discipline == MD1:
@@ -41,6 +43,7 @@ def _lindley_departures(arrivals, services):
     """FIFO single-server departures for given arrival instants and service
     times: waiting time is the running maximum of the (service - gap)
     random walk."""
+    import numpy as np
     gaps = np.diff(arrivals)
     steps = services[:-1] - gaps
     walk = np.concatenate(([0.0], np.cumsum(steps)))
@@ -49,6 +52,7 @@ def _lindley_departures(arrivals, services):
 
 
 def _batch_stats(sojourns):
+    import numpy as np
     n = len(sojourns)
     warm = int(n * _WARMUP_FRACTION)
     tail = sojourns[warm:]
@@ -64,6 +68,7 @@ def _batch_stats(sojourns):
 def _time_average_in_system(arrivals, departures):
     """Integral of the number-in-system process divided by the horizon,
     computed by an explicit +1/-1 event sweep."""
+    import numpy as np
     times = np.concatenate((arrivals, departures))
     deltas = np.concatenate((np.ones_like(arrivals),
                              -np.ones_like(departures)))
@@ -80,6 +85,7 @@ def _time_average_in_system(arrivals, departures):
 
 def _simulate_with_drops(arrivals, services, capacity_packets):
     """Slow-path drop-tail loop, used only when the buffer can bind."""
+    import numpy as np
     n = len(arrivals)
     departures = []
     sojourns = []
@@ -108,6 +114,7 @@ def simulate_queue(discipline: str, load: QueueLoad, n_packets: int,
                    ) -> SimResult:
     """Seeded event simulation of one queue; mean sojourn with a 95%
     batch-means confidence interval."""
+    import numpy as np
     if load.arrival_rate <= 0:
         raise ValueError("arrival_rate must be positive to generate traffic")
     if load.utilization >= 1.0:
@@ -147,6 +154,7 @@ def simulate_tandem(links, discipline: str, n_packets: int,
                     seed: int = 0) -> SimResult:
     """Packets traverse the queues in sequence (infinite buffers); reports
     the end-to-end mean sojourn."""
+    import numpy as np
     loads = list(links)
     if not loads:
         raise ValueError("tandem needs at least one queue")

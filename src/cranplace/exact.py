@@ -1,8 +1,9 @@
-"""Constraint evaluation and the exhaustive optimal-placement search used
-as correctness oracle on micro instances."""
+"""Constraint evaluation and the branch-and-bound optimal-placement search
+used as correctness oracle on micro instances."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InfeasibleError
@@ -95,6 +96,38 @@ def evaluate_node(state: PlacementState, delays: DelayMemo,
             return None
         total += delay
     return total
+
+
+def entry_delay(state: PlacementState, entry, rate: float) -> float | None:
+    """Delay a request of `rate` would have on `entry` if admitted now: the
+    M/D/1 link terms in path order plus the M/M/1 cloud term, at the
+    state's loads plus `rate`. None if a link or the cloud would be
+    unstable."""
+    link_load = state.link_load
+    delay = 0.0
+    for key, mu in entry.link_rates:
+        lam = link_load.get(key, 0.0) + rate
+        if lam >= mu:
+            return None
+        delay += md1(lam, mu)
+    upsilon = state.scenario.topology.nodes[entry.cloud].service_rate
+    if upsilon > 0:
+        psi = state.cloud_load.get(entry.cloud, 0.0) + rate
+        if psi >= upsilon:
+            return None
+        delay += mm1(psi, upsilon)
+    return delay
+
+
+def least_delay(state: PlacementState, request, entries) -> float:
+    """Least delay `request` can have in any placement that extends
+    `state`: the least `entry_delay` over `entries`, its origin's paths.
+    Loads only grow as requests are admitted and both queue terms grow
+    with load, so the request's delay once placed is never below this.
+    inf when no entry is stable."""
+    delays = (entry_delay(state, entry, request.rate_pps)
+              for entry in entries)
+    return min((d for d in delays if d is not None), default=math.inf)
 
 
 def check_cloud_capacity(state, scenario):
@@ -249,7 +282,7 @@ class ExactBudget:
     max_bs: int = 4
     max_clouds: int = 3
     max_vm_types: int = 2
-    max_requests: int = 4
+    max_requests: int = 8
     max_paths: int = 3
 
 
@@ -270,9 +303,17 @@ def _enforce_budget(scenario: Scenario, budget: ExactBudget):
 
 def solve_exact(scenario: Scenario,
                 budget: ExactBudget | None = None) -> PlacementState:
-    """Optimal placement by exhaustive recursive search with feasibility
-    and partial-objective pruning; ties broken by the lexicographically
-    smallest assignment vector. Every request must be placed."""
+    """Optimal placement by depth-first branch and bound; ties broken by
+    the lexicographically smallest assignment vector. Every request must
+    be placed.
+
+    A node's bound is its partial objective plus, for each request still
+    to place, its `least_delay` at the node's loads. A node is pruned when
+    the bound exceeds the incumbent, or when a request still to place has
+    no stable path left. The bound never exceeds the objective of a
+    placement below the node, so no node that could tie or beat the
+    incumbent is pruned and the optimum and its tie-break are those of
+    the unbounded search."""
     budget = budget or ExactBudget()
     _enforce_budget(scenario, budget)
     lists = build_sorted_lists(scenario.topology, scenario.k_paths)
@@ -280,7 +321,6 @@ def solve_exact(scenario: Scenario,
     deg = scenario.degradation_fraction
     catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,
                                                          v.name))
-    cloud_rate = {c.id: c.service_rate for c in scenario.topology.clouds()}
     delays = DelayMemo(scenario.topology)
     limits = sla_limits(scenario)
     best: dict = {"obj": None, "vec": None}
@@ -292,18 +332,8 @@ def solve_exact(scenario: Scenario,
 
     def candidates(state, request):
         demand = state.demand(request)
-        rate = request.rate_pps
         for entry in by_origin[request.origin]:
-            stable = True
-            for key, mu in entry.link_rates:
-                if state.link_load.get(key, 0.0) + rate >= mu:
-                    stable = False
-                    break
-            upsilon = cloud_rate[entry.cloud]
-            if upsilon > 0 and state.cloud_load.get(entry.cloud, 0.0) \
-                    + rate >= upsilon:
-                stable = False
-            if not stable:
+            if entry_delay(state, entry, request.rate_pps) is None:
                 continue
             for iid in sorted(iid for _, iid in
                               state.residual_index[entry.cloud]):
@@ -345,7 +375,11 @@ def solve_exact(scenario: Scenario,
             work_obj = evaluate_node(work, delays, limits)
             if work_obj is None:
                 continue
-            if best["obj"] is not None and work_obj > best["obj"] + 1e-15:
+            bound = work_obj
+            for later in requests[depth + 1:]:
+                bound += least_delay(work, later, by_origin[later.origin])
+            if bound == math.inf or (best["obj"] is not None
+                                     and bound > best["obj"] + 1e-15):
                 continue
             vec.append((entry.cloud, entry.id) + choice)
             recurse(work, depth + 1, vec, work_obj)

@@ -63,13 +63,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
+#: keys older files carry that name no field any more; they are ignored
+_LEGACY_KEYS = {Node: {"traffic"}}
+
+
 def _build(cls, d: dict, vector: str | None = None, **given):
     """`cls(**given)` plus the keys of `d` that name its other fields, so
-    that a key the file lacks takes the field's default and one it does not
-    know (such as the `traffic` older files carry) is ignored; the field
+    that a key the file lacks takes the field's default; a key that names
+    no field, other than a legacy one, is a `ScenarioError`. The field
     named `vector` is read as a [cpu, storage, network] list."""
-    kwargs = {f.name: d[f.name] for f in fields(cls)
-              if f.name in d and f.name not in given}
+    names = [f.name for f in fields(cls)]
+    unknown = set(d).difference(names, _LEGACY_KEYS.get(cls, ()))
+    if unknown:
+        raise ScenarioError(f"unknown {cls.__name__} key(s): "
+                            f"{', '.join(sorted(map(str, unknown)))}")
+    kwargs = {name: d[name] for name in names
+              if name in d and name not in given}
     if vector in kwargs:
         kwargs[vector] = CapacityVector(*kwargs[vector])
     return cls(**kwargs, **given)

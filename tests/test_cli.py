@@ -2,10 +2,12 @@ import hashlib
 import os
 
 import pytest
+import yaml
 
 from cranplace import paths
 from cranplace.cli import HEURISTIC_NAMES, main
-from cranplace.scenario_io import load_scenario, save_scenario
+from cranplace.scenario_io import (load_scenario, save_scenario,
+                                   scenario_to_dict)
 
 from conftest import micro_scenario
 
@@ -111,6 +113,17 @@ class TestExitCodes:
         assert main(["simulate", "--discipline", "mm1", "--rho", "0.5",
                      "--mu", "1.0", "--packets", "3"]) == 2
         capsys.readouterr()
+
+    def test_unknown_scenario_key_is_two(self, tmp_path, capsys):
+        data = scenario_to_dict(micro_scenario(2))
+        data["requests"][0]["holding_tme"] = 0.008
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(data))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "holding_tme" in err and "Traceback" not in err
 
     def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
                                            capsys, monkeypatch):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cranplace
 from cranplace.des import MD1, MM1, simulate_queue, simulate_tandem
 from cranplace.errors import StabilityViolation
 from cranplace.queueing import QueueLoad, md1_delay, mm1_delay
@@ -85,3 +91,14 @@ class TestNumericalHygiene:
         r = simulate_queue(MD1, QueueLoad(0.9, 1.0), 50_000, seed=6)
         assert r.mean_sojourn >= 1.0  # at least one service time
         assert np.isfinite(r.ci95_halfwidth)
+
+
+def test_importing_the_cli_leaves_numpy_unloaded():
+    # numpy is only the simulator's; every other command starts without it
+    src = str(Path(cranplace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cranplace.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

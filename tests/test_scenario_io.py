@@ -124,3 +124,14 @@ class TestMalformedInput:
         path.write_text("- just\n- a\n- list\n")
         with pytest.raises(ScenarioError):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("where", ["requests", "nodes", "top"])
+    def test_unknown_key_is_rejected(self, tmp_path, where):
+        data = scenario_to_dict(micro_scenario(2))
+        entry = {"requests": data["requests"][0],
+                 "nodes": data["topology"]["nodes"][0], "top": data}[where]
+        entry["holding_tme"] = 0.008
+        path = tmp_path / "typo.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioError, match="holding_tme"):
+            load_scenario(str(path))
