@@ -7,8 +7,6 @@ import argparse
 import os
 import sys
 
-import yaml
-
 from . import des
 from .defaults import DEFAULT_LOAD_FRACTION
 from .errors import (BudgetExceeded, CranplaceError, InfeasibleError, NoPath,
@@ -58,6 +56,7 @@ def _cmd_solve_exact(args) -> int:
         "instances_launched": state.instances_launched,
         "total_cost": state.cost_accrued,
     }
+    import yaml   # only this command writes YAML
     with open(args.out, "w") as fh:
         yaml.safe_dump(payload, fh, sort_keys=False)
     print(f"objective {obj:.9g} over {len(state.allocations)} requests "

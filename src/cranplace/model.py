@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import defaults
 from .errors import ScenarioError
@@ -25,18 +26,14 @@ def _positive(x) -> bool:
     return 0 < x < math.inf
 
 
-@dataclass(frozen=True)
-class CapacityVector:
-    """3D resource triple: vCPUs, storage (GB), network (Gbps)."""
+class CapacityVector(NamedTuple):
+    """3D resource triple: vCPUs, storage (GB), network (Gbps). The
+    arithmetic checks nothing: `Node`, `VmType` and `ServiceClass` reject a
+    non-finite capacity where it enters."""
 
     cpu: float = 0.0
     storage: float = 0.0
     network: float = 0.0
-
-    def __post_init__(self):
-        for c in (self.cpu, self.storage, self.network):
-            if not math.isfinite(c):
-                raise ValueError("capacity components must be finite")
 
     def __add__(self, other: "CapacityVector") -> "CapacityVector":
         return CapacityVector(self.cpu + other.cpu,
@@ -90,12 +87,14 @@ def capacity_fits(demand: CapacityVector, residual: CapacityVector,
 class Node:
     id: str
     kind: str
-    capacity: CapacityVector = field(default_factory=CapacityVector.zero)
+    capacity: CapacityVector = CapacityVector()
     service_rate: float = 0.0     # packets/s processing rate, clouds only
 
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ScenarioError(f"unknown node kind {self.kind!r}")
+        if not all(map(math.isfinite, self.capacity)):
+            raise ScenarioError(f"node {self.id}: capacity must be finite")
         if self.kind != CLOUD and not self.capacity.is_zero():
             raise ScenarioError(f"non-cloud node {self.id} has capacity")
         if self.kind != CLOUD and self.service_rate != 0:
@@ -171,10 +170,9 @@ class VmType:
     hourly_cost: float
 
     def __post_init__(self):
-        if self.capacity.cpu <= 0 or self.capacity.storage <= 0 \
-                or self.capacity.network <= 0:
+        if not all(map(_positive, self.capacity)):
             raise ScenarioError(f"VM type {self.name}: capacity must be "
-                                "strictly positive")
+                                "finite and strictly positive")
         if not _positive(self.hourly_cost):
             raise ScenarioError(f"VM type {self.name}: cost must be finite "
                                 "and positive")
@@ -192,8 +190,9 @@ class ServiceClass:
     sla_delay_bound: float  # seconds
 
     def __post_init__(self):
-        if not self.demand_per_10gbps.nonnegative():
-            raise ScenarioError(f"class {self.name}: negative demand")
+        if not all(0 <= c < math.inf for c in self.demand_per_10gbps):
+            raise ScenarioError(f"class {self.name}: demand must be finite "
+                                "and non-negative")
         if not _positive(self.sla_delay_bound):
             raise ScenarioError(f"class {self.name}: SLA bound must be "
                                 "finite and positive")

@@ -1,21 +1,16 @@
-"""Scenario (de)serialization to YAML files."""
+"""Scenario (de)serialization. Files are written as JSON, which is also
+YAML 1.2; a YAML file, hand-written or from an older version, still
+loads."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields
-
-import yaml
+from functools import cache
 
 from .errors import ScenarioError
 from .model import (CapacityVector, Link, Node, Scenario, ServiceClass,
                     ServiceRequest, Topology, VmType)
-
-try:
-    _Loader = yaml.CSafeLoader
-    _Dumper = yaml.CSafeDumper
-except AttributeError:  # libyaml not available
-    _Loader = yaml.SafeLoader
-    _Dumper = yaml.SafeDumper
 
 
 def _cap_to_list(cap: CapacityVector):
@@ -67,14 +62,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 _LEGACY_KEYS = {Node: {"traffic"}}
 
 
+@cache
+def _field_names(cls) -> tuple[tuple[str, ...], frozenset[str]]:
+    """The field names of `cls` in order, and every key a file may give
+    it."""
+    names = tuple(f.name for f in fields(cls))
+    return names, frozenset(names).union(_LEGACY_KEYS.get(cls, ()))
+
+
 def _build(cls, d: dict, vector: str | None = None, **given):
     """`cls(**given)` plus the keys of `d` that name its other fields, so
     that a key the file lacks takes the field's default; a key that names
     no field, other than a legacy one, is a `ScenarioError`. The field
     named `vector` is read as a [cpu, storage, network] list."""
-    names = [f.name for f in fields(cls)]
-    unknown = set(d).difference(names, _LEGACY_KEYS.get(cls, ()))
-    if unknown:
+    names, allowed = _field_names(cls)
+    if not allowed.issuperset(d):
+        unknown = set(d).difference(allowed)
         raise ScenarioError(f"unknown {cls.__name__} key(s): "
                             f"{', '.join(sorted(map(str, unknown)))}")
     kwargs = {name: d[name] for name in names
@@ -102,16 +105,54 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ScenarioError(f"malformed scenario data: {exc}") from exc
 
 
+#: the C encoder; NaN and inf raise `ValueError`, since no file that
+#: holds them loads
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_text(value) -> str:
+    """`value` as JSON: a list of mappings gets one line per mapping, a
+    mapping that holds such a list, or a mapping, one line per key, and
+    anything else one line."""
+    if isinstance(value, dict) and any(
+            isinstance(v, dict) or _is_records(v) for v in value.values()):
+        return "{\n" + ",\n".join(f"{_encode(k)}: {_json_text(v)}"
+                                   for k, v in value.items()) + "\n}"
+    if _is_records(value):
+        return "[\n" + ",\n".join(map(_encode, value)) + "\n]"
+    return _encode(value)
+
+
+def _is_records(value) -> bool:
+    return isinstance(value, list) and bool(value) \
+        and isinstance(value[0], dict)
+
+
 def save_scenario(scenario: Scenario, path) -> None:
+    try:
+        text = _json_text(scenario_to_dict(scenario))
+    except ValueError:
+        raise ScenarioError(f"{path}: cannot write a non-finite number") \
+            from None
     with open(path, "w") as fh:
-        yaml.dump(scenario_to_dict(scenario), fh, Dumper=_Dumper,
-                  sort_keys=False, default_flow_style=None)
+        fh.write(text + "\n")
 
 
 def load_scenario(path) -> Scenario:
+    """Load a scenario file: JSON as `save_scenario` writes it, or any
+    YAML."""
+    def reject(name):
+        raise ScenarioError(f"{path}: non-finite number {name}")
+
     with open(path) as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError:
+        import yaml   # only a file that is not JSON needs it
         try:
-            data = yaml.load(fh, Loader=_Loader)
+            data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                                  yaml.SafeLoader))
         except yaml.YAMLError as exc:
             raise ScenarioError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -50,8 +50,7 @@ class Mark(NamedTuple):
     counters: tuple
 
 
-@dataclass(frozen=True)
-class Allocation:
+class Allocation(NamedTuple):
     request_id: int
     cloud: str
     instance_id: int

@@ -1,9 +1,13 @@
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import cranplace
 from cranplace import paths
 from cranplace.cli import HEURISTIC_NAMES, main
 from cranplace.scenario_io import (load_scenario, save_scenario,
@@ -157,3 +161,15 @@ class TestDeterminism:
             digests.append(_digest_tree(str(out)))
         capsys.readouterr()
         assert digests[0] == digests[1]
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    # scenario files are JSON; yaml loads only for a file that is not, and
+    # for solve-exact's output
+    src = str(Path(cranplace.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, cranplace.cli; print('yaml' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True)
+    assert out.stdout.strip() == "False"

@@ -28,12 +28,6 @@ class TestCapacityVector:
         assert CapacityVector(0.0, 0.0, 0.0).nonnegative()
         assert not CapacityVector(-1e-12, 0.0, 0.0).nonnegative()
 
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CapacityVector(math.inf, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            CapacityVector(0.0, math.nan, 0.0)
-
 
 class TestCapacityFits:
     def test_storage_never_degraded(self):
@@ -111,6 +105,20 @@ class TestCatalogAndClasses:
         for bound in (0.0, math.nan, math.inf):
             with pytest.raises(ScenarioError):
                 ServiceClass("c", CapacityVector(1.0, 1.0, 1.0), bound)
+
+    def test_rejects_non_finite(self):
+        # capacities are checked where they enter, not on every sum
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(3):
+                parts = [1.0, 1.0, 1.0]
+                parts[i] = bad
+                cap = CapacityVector(*parts)
+                with pytest.raises(ScenarioError):
+                    Node("c0", "cloud", capacity=cap)
+                with pytest.raises(ScenarioError):
+                    VmType("t", cap, 0.5)
+                with pytest.raises(ScenarioError):
+                    ServiceClass("c", cap, 1.0)
 
 
 class TestRequests:

@@ -1,14 +1,17 @@
+import json
 import os
 import tempfile
+from dataclasses import replace
 
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cranplace.cli import main
 from cranplace.errors import ScenarioError
 from cranplace.model import (CapacityVector, Link, Node, Scenario,
-                             ServiceRequest, Topology)
+                             ServiceRequest, Topology, with_requests)
 from cranplace.scenario_io import (load_scenario, save_scenario,
                                    scenario_from_dict, scenario_to_dict)
 from cranplace.workload import make_scenario
@@ -112,6 +115,92 @@ class TestRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+_finite_times = st.floats(min_value=0.0, max_value=1e6,
+                          allow_subnormal=True)
+
+
+@st.composite
+def _scenarios(draw):
+    """Generated and micro scenarios, with arbitrary finite arrival times
+    and an extra float in params, so exponent and subnormal values occur."""
+    if draw(st.booleans()):
+        scenario = micro_scenario(draw(st.integers(0, 10_000)))
+    else:
+        scenario = make_scenario(draw(st.integers(4, 12)),
+                                 draw(st.integers(1, 4)),
+                                 draw(st.integers(1, 30)),
+                                 load_fraction=draw(st.floats(0.05, 0.9)),
+                                 seed=draw(st.integers(0, 10_000)))
+    requests = [replace(r, arrival_time=draw(_finite_times))
+                for r in scenario.requests]
+    scenario = with_requests(scenario, requests)
+    scenario.params["extra"] = draw(st.floats(allow_nan=False,
+                                              allow_infinity=False))
+    return scenario
+
+
+class TestFileFormat:
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=_scenarios())
+    def test_save_then_load_gives_the_same_dict(self, scenario):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            save_scenario(scenario, path)
+            again = load_scenario(path)
+        assert scenario_to_dict(again) == scenario_to_dict(scenario)
+
+    def test_file_is_json_with_one_line_per_record(self, tmp_path):
+        scenario = make_scenario(8, 2, 30, seed=5)
+        path = tmp_path / "gen.yaml"
+        save_scenario(scenario, str(path))
+        text = path.read_text()
+        data = scenario_to_dict(scenario)
+        assert json.loads(text) == data
+        lines = text.splitlines()
+        records = (data["topology"]["nodes"] + data["topology"]["links"]
+                   + data["vm_catalog"] + data["classes"] + data["requests"])
+        for record in records:
+            assert json.dumps(record) + "," in lines \
+                or json.dumps(record) in lines
+        for key in ("cost_threshold", "k_paths", "params"):
+            assert any(line.startswith(f'"{key}": ') for line in lines)
+
+    @pytest.mark.parametrize("style", ["flow_leaves", "block"])
+    def test_older_yaml_files_load_the_same(self, tmp_path, style):
+        # the former writer (flow style for leaves), and block-style files
+        # such as yaml.safe_dump writes
+        for scenario in (micro_scenario(3), make_scenario(8, 2, 30, seed=5)):
+            data = scenario_to_dict(scenario)
+            if style == "flow_leaves":
+                text = yaml.dump(data, Dumper=yaml.CSafeDumper,
+                                 sort_keys=False, default_flow_style=None)
+            else:
+                text = yaml.safe_dump(data)
+            path = tmp_path / "old.yaml"
+            path.write_text(text)
+            assert scenario_to_dict(load_scenario(str(path))) == data
+
+    def test_exponent_floats_round_trip(self, tmp_path):
+        scenario = micro_scenario(2)
+        scenario.params["migration_overhead_s"] = 1e-05
+        scenario = with_requests(scenario, [
+            replace(r, arrival_time=r.id * 3e-07)
+            for r in scenario.requests])
+        path = tmp_path / "exp.yaml"
+        save_scenario(scenario, str(path))
+        assert '"migration_overhead_s": 1e-05' in path.read_text()
+        again = load_scenario(str(path))
+        assert again.params["migration_overhead_s"] == 1e-05
+        assert [r.arrival_time for r in again.requests] == \
+            [r.arrival_time for r in scenario.requests]
+
+    def test_non_finite_value_is_not_written(self, tmp_path):
+        scenario = micro_scenario(2)
+        scenario.params["migration_overhead_s"] = float("nan")
+        with pytest.raises(ScenarioError, match="non-finite"):
+            save_scenario(scenario, str(tmp_path / "nan.yaml"))
+
+
 class TestMalformedInput:
     def test_missing_sections_rejected(self, tiny_scenario):
         data = scenario_to_dict(tiny_scenario)
@@ -135,3 +224,33 @@ class TestMalformedInput:
         path.write_text(yaml.safe_dump(data))
         with pytest.raises(ScenarioError, match="holding_tme"):
             load_scenario(str(path))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_json_is_rejected(self, tmp_path, capsys, constant):
+        path = tmp_path / "nan.yaml"
+        save_scenario(micro_scenario(2), str(path))
+        text = path.read_text().replace('"service_rate_mu": ',
+                                        f'"service_rate_mu": {constant}, '
+                                        '"x": ', 1)
+        path.write_text(text)
+        with pytest.raises(ScenarioError, match="non-finite"):
+            load_scenario(str(path))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ['{"topology": {"nodes": [',
+                                      '{"topology": ]}',
+                                      '{\n"a": 1,,\n}'])
+    def test_malformed_json_is_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "broken.yaml"
+        path.write_text(text)
+        with pytest.raises(ScenarioError):
+            load_scenario(str(path))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
