@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .defaults import DEFAULT_PARAMS
 from .errors import ScenarioError
 from .migration import MigrationParams, try_migrate_for_fit
-from .model import CapacityVector, Scenario, capacity_fits
+from .model import CapacityVector, Scenario, VmType, capacity_fits
 from .paths import build_sorted_lists, refresh_one
 from .queueing import md1, mm1
 from .state import Allocation, DelayBreakdown, PlacementState
@@ -161,12 +161,14 @@ class _Run:
             return None
         return link_d, comp_d
 
-    def _launchable_vm(self, state, cloud, demand):
+    def _launchable_vm(self, state, cloud, demand, fitting=None):
         """Cheapest VM type the request fits on, launchable at this cloud
-        under the cloud residual, resource cap and cost threshold."""
+        under the cloud residual, resource cap and cost threshold; taken
+        from `fitting`, the types it fits on in catalog order, if given."""
         residual = state.residual_cloud[cloud]
-        for vm in self.catalog:
-            if not capacity_fits(demand, vm.capacity, self.degradation):
+        for vm in self.catalog if fitting is None else fitting:
+            if fitting is None and not capacity_fits(
+                    demand, vm.capacity, self.degradation):
                 continue
             if not residual.covers(vm.capacity):
                 continue
@@ -265,26 +267,41 @@ class _Run:
         """Ascending best fit: the fitting instance with the least total
         remaining capacity on the first feasible entry, else a new one.
         Commits with `state.admit`, so no delays are recorded mid-trial,
-        and leaves the launch history to the caller."""
+        and leaves the launch history to the caller. Nothing changes
+        before the commit, so each cloud's room (an instance id, a VM type
+        or None) is found once, and only entries on a cloud with room are
+        screened; a skipped screen still counts its work."""
         demand = state.demand(request)
         floor = fit_floor(demand, self.degradation)
+        fitting = None
+        room = {}
         for entry in self.lists.list_for_bs(request.origin):
-            if entry.cloud in exclude_clouds:
+            cloud = entry.cloud
+            if cloud in exclude_clouds:
+                continue
+            if cloud not in room:
+                lst = state.residual_index[cloud]
+                for j in range(bisect_left(lst, (floor, -1)), len(lst)):
+                    iid = lst[j][1]
+                    if capacity_fits(demand, state.instances[iid].residual,
+                                     self.degradation):
+                        room[cloud] = iid
+                        break
+                else:
+                    if fitting is None:
+                        fitting = [vm for vm in self.catalog if capacity_fits(
+                            demand, vm.capacity, self.degradation)]
+                    room[cloud] = self._launchable_vm(state, cloud, demand,
+                                                      fitting)
+            where = room[cloud]
+            if where is None:
+                self.work += 1 + len(entry.links)
                 continue
             if self._entry_feasible(state, request, entry) is None:
                 continue
-            lst = state.residual_index[entry.cloud]
-            for j in range(bisect_left(lst, (floor, -1)), len(lst)):
-                iid = lst[j][1]
-                if capacity_fits(demand, state.instances[iid].residual,
-                                 self.degradation):
-                    return state.admit(request, iid, entry.id,
-                                       entry.link_keys)
-            vm = self._launchable_vm(state, entry.cloud, demand)
-            if vm is not None:
-                inst = state.launch_instance(entry.cloud, vm)
-                return state.admit(request, inst.id, entry.id,
-                                   entry.link_keys)
+            if isinstance(where, VmType):
+                where = state.launch_instance(cloud, where).id
+            return state.admit(request, where, entry.id, entry.link_keys)
         return None
 
     # -- per-request placement policies ------------------------------------

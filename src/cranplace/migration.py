@@ -42,28 +42,40 @@ def intercloud_link_speed(state, src_cloud: str, dst_cloud: str,
     """Residual bandwidth (bits/s) of the best inter-cloud path; falls back
     to the configured default when saturated or disconnected.
 
-    `path_cache` maps (src_cloud, dst_cloud) to that path's links, or None
-    when there is no path, and is filled on first use; the path depends on
-    the topology only."""
+    `path_cache` maps (src_cloud, dst_cloud) to that path's (link key,
+    capacity_bw) pairs, or None when there is no path, and is filled on
+    first use; the path depends on the topology only."""
     if src_cloud == dst_cloud:
         return params.link_speed
     pair = (src_cloud, dst_cloud)
     if pair not in path_cache:
         try:
-            path_cache[pair] = k_shortest_paths(
-                state.scenario.topology, src_cloud, dst_cloud, 1)[0].links
+            path_cache[pair] = tuple(
+                (l.key, l.capacity_bw) for l in k_shortest_paths(
+                    state.scenario.topology, src_cloud, dst_cloud, 1)[0].links)
         except NoPath:
             path_cache[pair] = None
     links = path_cache[pair]
     if links is None:
         return params.link_speed
     to_gbps = packet_size_bytes * 8.0 / 1e9
-    residual = min(
-        l.capacity_bw - state.link_load.get(l.key, 0.0) * to_gbps
-        for l in links)
+    link_load = state.link_load
+    residual = min(bw - link_load.get(key, 0.0) * to_gbps
+                   for key, bw in links)
     if residual <= 0:
         return params.link_speed
     return residual * 1e9
+
+
+def evictee_order(state, cloud: str) -> list[int]:
+    """Ids of the requests hosted at `cloud`, least consumed demand (cpu +
+    storage + network) first, ties by id, read from the cloud's own
+    instances."""
+    instances = state.instances
+    return [rid for _, rid in sorted(
+        (c.cpu + c.storage + c.network, rid)
+        for _, iid in state.residual_index[cloud]
+        for rid, c in instances[iid].assigned.items())]
 
 
 def try_migrate_for_fit(state, request, lists, admitter, params=None,
@@ -108,12 +120,7 @@ def try_migrate_for_fit(state, request, lists, admitter, params=None,
     vm_bytes = max(params.page_size, params.image_bytes)
 
     for target in target_clouds:
-        evictee_ids = [a.request_id for a in sorted(
-            (a for a in state.allocations.values() if a.cloud == target),
-            key=lambda a: (a.consumed.cpu + a.consumed.storage
-                           + a.consumed.network, a.request_id))]
-        if eviction_limit is not None:
-            evictee_ids = evictee_ids[:eviction_limit]
+        evictee_ids = evictee_order(state, target)[:eviction_limit]
         # cheap necessary condition before any trial: even after the whole
         # eviction budget, the target must have enough total storage to hold
         # the request (storage is never degraded on admission); summed in

@@ -248,6 +248,14 @@ class Scenario:
             raise ScenarioError("k_paths must be >= 1")
         if not self.resource_cap_total >= 0:
             raise ScenarioError("resource_cap_total must be non-negative")
+        for name in ("migration_eviction_limit", "migration_target_limit"):
+            limit = self.params.get(name)
+            # a slice bound: None is no limit, and a bool, a float, a string
+            # or a negative count would slice wrongly or raise mid-run
+            if limit is not None and (isinstance(limit, bool) or not
+                                      isinstance(limit, int) or limit < 0):
+                raise ScenarioError(f"{name} must be a non-negative integer "
+                                    f"or null, not {limit!r}")
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}

@@ -99,8 +99,9 @@ class SortedPathLists:
     """Per first-hop node, all candidate paths to every cloud, kept sorted
     ascending by current delay. Base stations sharing an aggregator share
     the underlying entries. `intercloud_links` caches, per (source,
-    destination) cloud pair, the links of the shortest path between them,
-    or None when there is none; migration fills it on first use."""
+    destination) cloud pair, the (link key, capacity_bw) pairs of the
+    shortest path between them, or None when there is none; migration
+    fills it on first use."""
 
     topology: Topology
     by_first_hop: dict[str, list[PathEntry]] = field(default_factory=dict)

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -128,6 +129,19 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "holding_tme" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("limit", [2.5, "3", -1])
+    def test_migration_limit_that_is_no_count_is_two(self, tmp_path, capsys,
+                                                     limit):
+        data = scenario_to_dict(micro_scenario(2))
+        data["params"]["migration_eviction_limit"] = limit
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(data))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "migration_eviction_limit" in err and "Traceback" not in err
 
     def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
                                            capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 
@@ -251,3 +252,69 @@ def test_light_stream_outputs_are_pinned(light_scenario, kind, monkeypatch):
     digest = hashlib.sha256(repr(admitted).encode()).hexdigest()[:16]
     assert (r.work_units, r.instances_launched, repr(r.total_link_delay),
             repr(r.total_compute_delay), digest) == LIGHT_OUTPUTS[kind]
+
+
+def _reference_trial_admitter(run, state, request, exclude_clouds):
+    """`_Run.trial_admitter` as it was before it found each cloud's room
+    once per call: every non-excluded entry is screened, then its cloud's
+    instances and VM catalog are scanned."""
+    demand = state.demand(request)
+    floor = fit_floor(demand, run.degradation)
+    for entry in run.lists.list_for_bs(request.origin):
+        if entry.cloud in exclude_clouds:
+            continue
+        if run._entry_feasible(state, request, entry) is None:
+            continue
+        lst = state.residual_index[entry.cloud]
+        for j in range(bisect_left(lst, (floor, -1)), len(lst)):
+            iid = lst[j][1]
+            if capacity_fits(demand, state.instances[iid].residual,
+                             run.degradation):
+                return state.admit(request, iid, entry.id, entry.link_keys)
+        vm = run._launchable_vm(state, entry.cloud, demand)
+        if vm is not None:
+            inst = state.launch_instance(entry.cloud, vm)
+            return state.admit(request, inst.id, entry.id, entry.link_keys)
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), n_bs=st.integers(2, 8),
+       n_clouds=st.integers(1, 3), n_requests=st.integers(5, 40),
+       load=st.floats(0.2, 0.9),
+       storage=st.sampled_from([400.0, 1000.0, 3000.0, 10000.0]),
+       volume=st.sampled_from([250.0, 1000.0, 4000.0]),
+       cost_threshold=st.sampled_from([5.0, 20.0, 1e4]),
+       resource_cap=st.sampled_from([40.0, 200.0, 5e4]))
+def test_trial_admitter_matches_the_screen_every_entry_loop(
+        seed, n_bs, n_clouds, n_requests, load, storage, volume,
+        cost_threshold, resource_cap):
+    # small clouds, caps and budgets: about three admissions in four find
+    # no room, and the rest launch or reuse an instance
+    scenario = make_scenario(
+        n_bs, n_clouds, n_requests, load_fraction=load, seed=seed,
+        cost_threshold=cost_threshold, resource_cap_total=resource_cap,
+        params={"cloud_capacity_total": [200.0, storage, 100.0],
+                "volume_packets": volume})
+    run = _Run(scenario, HeuristicConfig(BNB_SORTED_ASC, seed=seed))
+    clouds = [c.id for c in scenario.topology.clouds()]
+    rng = random.Random(seed)
+    state = run.state
+    for request in scenario.requests:
+        exclude = {c for c in clouds if rng.random() < 0.3}
+        reference = state.clone()
+        work = run.work
+        want = _reference_trial_admitter(run, reference, request, exclude)
+        want_work, work = run.work - work, run.work
+        before = state.signature()
+        got = run.trial_admitter(state, request, exclude)
+        assert run.work - work == want_work
+        if want is None:
+            assert got is None
+            assert state.signature() == before
+        else:
+            assert (got.instance_id, got.path_id, got.cloud) == (
+                want.instance_id, want.path_id, want.cloud)
+            assert state.signature() == reference.signature()
+        if state.allocations and rng.random() < 0.3:
+            state.release(rng.choice(sorted(state.allocations)))

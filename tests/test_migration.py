@@ -1,11 +1,14 @@
+import random
 from dataclasses import replace
 
 import pytest
 
 from cranplace.defaults import DEFAULT_PARAMS
-from cranplace.heuristics import HeuristicConfig, place
-from cranplace.migration import (MigrationParams, intercloud_link_speed,
-                                 migration_time, try_migrate_for_fit)
+from cranplace.errors import ScenarioError
+from cranplace.heuristics import HeuristicConfig, _Run, place
+from cranplace.migration import (MigrationParams, evictee_order,
+                                 intercloud_link_speed, migration_time,
+                                 try_migrate_for_fit)
 from cranplace.model import (CapacityVector, Scenario, ServiceRequest,
                              capacity_fits, demand_of)
 from cranplace.paths import build_sorted_lists
@@ -61,8 +64,8 @@ def _two_cloud_scenario(requests):
                     params={"packet_size_bytes": 500.0})
 
 
-def _req(i, origin, cls):
-    return ServiceRequest(i, origin, cls, 1000.0, 500.0,
+def _req(i, origin, cls, volume=1000.0):
+    return ServiceRequest(i, origin, cls, volume, 500.0,
                           arrival_time=0.001 * i, holding_time=0.008)
 
 
@@ -166,6 +169,76 @@ class TestTryMigrateForFit:
         moved, ok, _ = try_migrate_for_fit(state, newcomer, lists, admitter,
                                            target_limit=1)
         assert ok and moved == 1
+
+
+class TestMigrationLimits:
+    @pytest.mark.parametrize("name", ["migration_eviction_limit",
+                                      "migration_target_limit"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "3", -1, True, [2]])
+    def test_a_limit_that_is_no_count_is_rejected(self, name, value):
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")])
+        with pytest.raises(ScenarioError, match=name):
+            replace(scenario, params={**scenario.params, name: value})
+
+    @pytest.mark.parametrize("value", [None, 0, 4])
+    def test_none_or_a_count_is_accepted(self, value):
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")])
+        params = {**scenario.params, "migration_eviction_limit": value,
+                  "migration_target_limit": value}
+        run = _Run(replace(scenario, params=params),
+                   HeuristicConfig("bnb_plain"))
+        assert run.eviction_limit == run.target_limit == value
+
+    def test_no_limit_tries_every_evictee(self):
+        # five tenants of 16 storage share cloud0's VM (122); the newcomer
+        # needs 112, so only moving all five frees room for it, and cloud1
+        # has room for one VM, which takes the tenants but not the newcomer
+        tenants = [_req(i, "bs0", "physical", volume=250.0)
+                   for i in range(5)]
+        newcomer = _req(5, "bs0", "mac_lower", volume=1400.0)
+        scenario = _two_cloud_scenario(tenants + [newcomer])
+        lists = build_sorted_lists(scenario.topology, scenario.k_paths)
+        admitter = _first_fit_admitter(scenario, lists)
+        results = {}
+        for limit in (None, 4):
+            state = _seed_state(scenario, lists,
+                                [(t, "cloud0") for t in tenants])
+            results[limit] = try_migrate_for_fit(
+                state, newcomer, lists, admitter, eviction_limit=limit,
+                target_limit=1)[:2]
+        assert results == {None: (5, True), 4: (0, False)}
+
+
+def _scan_order(state, cloud):
+    """The evictee order as a scan of every allocation computes it."""
+    return [a.request_id for a in sorted(
+        (a for a in state.allocations.values() if a.cloud == cloud),
+        key=lambda a: (a.consumed.cpu + a.consumed.storage
+                       + a.consumed.network, a.request_id))]
+
+
+def test_evictee_order_survives_checkpoint_rollback_cycles(
+        saturated_scenario):
+    # the run's own migration trials rolled the state back many times;
+    # each further cycle's rollback moves the allocations it puts back to
+    # the end of the allocation and assignment dicts
+    result = place(saturated_scenario, HeuristicConfig("sa_short", seed=42))
+    state = result.state
+    assert result.migrations > 0 and len(state.allocations) > 60
+    clouds = sorted(state.residual_index)
+    rng = random.Random(1)
+    for cycle in range(12):
+        mark = state.checkpoint()
+        for rid in rng.sample(sorted(state.allocations), 10):
+            state.release(rid)
+            assert all(evictee_order(state, c) == _scan_order(state, c)
+                       for c in clouds)
+        if cycle % 4 == 3:
+            state.commit(mark)
+        else:
+            state.rollback(mark)
+        assert all(evictee_order(state, c) == _scan_order(state, c)
+                   for c in clouds)
 
 
 class TestIntercloudLinkSpeed:
