@@ -382,16 +382,27 @@ class _Run:
                         demand, inst.residual, self.degradation):
                     continue
                 return self._commit(request, entry, inst)
-            vm = self._launchable_vm(state, entry.cloud, demand)
-            if vm is None:
-                continue
-            return self._commit(request, entry, self._launch(entry.cloud, vm))
+            # a launch candidate's cloud has a launchable VM in the map
+            cloud = entry.cloud
+            return self._commit(request, entry,
+                                self._launch(cloud, launchable[cloud]))
         # sampling found nothing workable; fall back to a plain pass over
-        # the entry list before giving up on the request
+        # the entry list before giving up on the request. Nothing changes
+        # the state before a commit, so the map still holds.
         for entry in entries:
-            alloc = self._main_admit_on_entry(request, entry, demand)
-            if alloc is not None:
-                return alloc
+            if self._entry_feasible(state, request, entry) is None:
+                continue
+            cloud = entry.cloud
+            inst = self._pick_instance(cloud, demand)
+            if inst is None:
+                if cloud not in launchable:
+                    launchable[cloud] = self._launchable_vm(state, cloud,
+                                                            demand)
+                vm = launchable[cloud]
+                if vm is None:
+                    continue
+                inst = self._launch(cloud, vm)
+            return self._commit(request, entry, inst)
         return None
 
     # -- run loop -----------------------------------------------------------

@@ -244,8 +244,12 @@ class Scenario:
             raise ScenarioError("cost_threshold must be positive")
         if not 0.0 <= self.degradation_fraction < 1.0:
             raise ScenarioError("degradation_fraction must be in [0, 1)")
-        if self.k_paths < 1:
-            raise ScenarioError("k_paths must be >= 1")
+        # a slice bound and a count: a bool, a float or a string would
+        # be taken as 1 or raise mid-run
+        if isinstance(self.k_paths, bool) or not isinstance(
+                self.k_paths, int) or self.k_paths < 1:
+            raise ScenarioError(f"k_paths must be an integer >= 1, not "
+                                f"{self.k_paths!r}")
         if not self.resource_cap_total >= 0:
             raise ScenarioError("resource_cap_total must be non-negative")
         for name in ("migration_eviction_limit", "migration_target_limit"):

@@ -33,32 +33,65 @@ class PathEntry:
         self.cloud = self.nodes[-1]
 
 
-def _simple_paths_by_hops(topology: Topology, src: str, dst: str):
-    """Yield loopless node sequences from src to dst grouped by hop count,
-    in (hop count, lexicographic) order.
+def _paths_to(topology: Topology, src: str, targets, k: int):
+    """Loopless node sequences from src to each target, found by one
+    best-first search over (hop count, node tuple).
 
-    Best-first expansion over partial paths; base stations other than the
-    endpoints never relay traffic and are not expanded through.
+    A target's list holds every path up to its k-th path's hop count, in
+    pop order, which is (hop count, lexicographic) order. A target is
+    terminal and closes once it has k paths and a longer path is popped;
+    the search stops when every target is closed or nothing is left to
+    expand. Base stations and non-target clouds never relay traffic; the
+    source is expanded whatever its kind.
     """
+    found = {t: [] for t in targets}
+    if src in found:
+        # a loopless path never returns to its source
+        found[src].append((src,))
+    open_ = {t for t in found if t != src}
+    relay = {nid for nid, n in topology.nodes.items()
+             if n.kind not in (BASE_STATION, CLOUD)}
     heap = [(0, (src,))]
+    level = 0
     pops = 0
-    while heap:
+    while heap and open_:
         pops += 1
         if pops > _ENUMERATION_LIMIT:
-            raise ScenarioError(f"enumerating the paths from {src} to {dst} "
+            raise ScenarioError(f"enumerating the paths from {src} "
                                 f"exceeded {_ENUMERATION_LIMIT} steps")
         hops, nodes = heapq.heappop(heap)
+        if hops > level:
+            # every path of the previous hop count has been popped
+            level = hops
+            open_ = {t for t in open_ if len(found[t]) < k}
+            if not open_:
+                break
         tail = nodes[-1]
-        if tail == dst:
-            yield nodes
+        if hops and tail in found:
+            if tail in open_:
+                found[tail].append(nodes)
             continue
         for nbr in topology.neighbors(tail):
-            if nbr in nodes:
-                continue
-            if nbr != dst and topology.nodes[nbr].kind in (BASE_STATION,
-                                                           CLOUD):
+            if nbr in nodes or not (nbr in relay or nbr in open_):
                 continue
             heapq.heappush(heap, (hops + 1, nodes + (nbr,)))
+    return found
+
+
+def _entries(topology: Topology, src: str, dst: str, collected,
+             k: int) -> list[PathEntry]:
+    """The first k path entries of the collected node sequences, numbered
+    in pop order and ordered by hop count, then idle-network delay, then
+    node sequence."""
+    entries = []
+    for idx, nodes in enumerate(collected):
+        links = tuple(topology.links[(u, v)]
+                      for u, v in zip(nodes, nodes[1:]))
+        entry = PathEntry(id=f"{src}=>{dst}#{idx}", nodes=nodes, links=links)
+        entry.current_delay = path_delay(links, {})
+        entries.append(entry)
+    entries.sort(key=lambda e: (len(e.nodes), e.current_delay, e.nodes))
+    return entries[:k]
 
 
 def k_shortest_paths(topology: Topology, src: str, dst: str,
@@ -72,26 +105,10 @@ def k_shortest_paths(topology: Topology, src: str, dst: str,
         raise ValueError("k must be >= 1")
     if src not in topology.nodes or dst not in topology.nodes:
         raise NoPath(f"unknown endpoint {src!r} or {dst!r}")
-    collected: list[tuple[str, ...]] = []
-    level = None
-    for nodes in _simple_paths_by_hops(topology, src, dst):
-        hops = len(nodes) - 1
-        if len(collected) >= k and hops > level:
-            break
-        collected.append(nodes)
-        level = hops
+    collected = _paths_to(topology, src, (dst,), k)[dst]
     if not collected:
         raise NoPath(f"{dst} unreachable from {src}")
-
-    entries = []
-    for idx, nodes in enumerate(collected):
-        links = tuple(topology.links[(u, v)]
-                      for u, v in zip(nodes, nodes[1:]))
-        entry = PathEntry(id=f"{src}=>{dst}#{idx}", nodes=nodes, links=links)
-        entry.current_delay = path_delay(links, {})
-        entries.append(entry)
-    entries.sort(key=lambda e: (len(e.nodes), e.current_delay, e.nodes))
-    return entries[:k]
+    return _entries(topology, src, dst, collected, k)
 
 
 @dataclass
@@ -116,7 +133,8 @@ class SortedPathLists:
 
 def build_sorted_lists(topology: Topology, k: int) -> SortedPathLists:
     """Precompute k-shortest paths from every base station's first hop to
-    every cloud and sort them by idle delay."""
+    every cloud, with one search per first hop, and sort them by idle
+    delay."""
     lists = SortedPathLists(topology)
     clouds = sorted(c.id for c in topology.clouds())
     for bs in sorted(n.id for n in topology.base_stations()):
@@ -125,12 +143,8 @@ def build_sorted_lists(topology: Topology, k: int) -> SortedPathLists:
         if hop in lists.by_first_hop:
             continue
         entries: list[PathEntry] = []
-        for cloud in clouds:
-            try:
-                found = k_shortest_paths(topology, hop, cloud, k)
-            except NoPath:
-                continue
-            entries.extend(found)
+        for cloud, collected in _paths_to(topology, hop, clouds, k).items():
+            entries.extend(_entries(topology, hop, cloud, collected, k))
         entries.sort(key=lambda e: (e.current_delay, len(e.nodes), e.id))
         lists.by_first_hop[hop] = entries
         for e in entries:

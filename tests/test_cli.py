@@ -143,6 +143,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "migration_eviction_limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("k", ["1.5", "1e400", "true"])
+    def test_k_paths_that_is_no_count_is_two(self, tmp_path, capsys, k):
+        text = json.dumps(scenario_to_dict(micro_scenario(2)))
+        assert text.count('"k_paths": 2,') == 1
+        path = tmp_path / "k.json"
+        path.write_text(text.replace('"k_paths": 2,', f'"k_paths": {k},'))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "k_paths" in err and "Traceback" not in err
+
     def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
                                            capsys, monkeypatch):
         monkeypatch.setattr(paths, "_ENUMERATION_LIMIT", 1)

@@ -51,6 +51,11 @@ class TestConfig:
         with pytest.raises(ScenarioError):
             replace(easy_scenario, k_paths=k)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, math.inf, True, "3", None])
+    def test_k_paths_that_is_no_count_rejected(self, easy_scenario, k):
+        with pytest.raises(ScenarioError, match="k_paths"):
+            replace(easy_scenario, k_paths=k)
+
     def test_boundary_overrides_accepted(self, easy_scenario):
         for fraction, k in ((0.0, 1), (0.999, 3)):
             scenario = replace(easy_scenario, degradation_fraction=fraction,
