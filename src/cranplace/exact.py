@@ -45,20 +45,21 @@ class DelayMemo:
         self._nodes = topology.nodes
         self._memo: dict[tuple, float] = {}  # (link key or cloud, load)
 
-    def request(self, state: PlacementState, alloc) -> tuple[float, float]:
-        """(link delay, compute delay) of an allocation under the state's
-        committed loads, link terms summed in path order."""
+    def delay(self, state: PlacementState, links,
+              cloud: str) -> tuple[float, float]:
+        """(link delay, compute delay) of a request routed over `links` to
+        `cloud` under the state's committed loads, link terms summed in
+        path order."""
         memo = self._memo
         link_load = state.link_load
         link_d = 0.0
-        for key in alloc.links:
+        for key in links:
             lam = link_load.get(key, 0.0)
             d = memo.get((key, lam))
             if d is None:
                 d = memo[key, lam] = md1(lam,
                                          self._links[key].service_rate_mu)
             link_d += d
-        cloud = alloc.cloud
         upsilon = self._nodes[cloud].service_rate
         comp_d = 0.0
         if upsilon > 0:
@@ -73,8 +74,9 @@ def request_delay(state: PlacementState, scenario: Scenario,
                   request_id: int) -> tuple[float, float]:
     """(link delay, compute delay) of an admitted request under the
     state's committed loads."""
-    return DelayMemo(scenario.topology).request(
-        state, state.allocations[request_id])
+    alloc = state.allocations[request_id]
+    return DelayMemo(scenario.topology).delay(state, alloc.links,
+                                               alloc.cloud)
 
 
 def sla_limits(scenario: Scenario) -> dict[int, float]:
@@ -90,7 +92,7 @@ def evaluate_node(state: PlacementState, delays: DelayMemo,
     limit."""
     total = 0.0
     for rid, alloc in state.allocations.items():
-        link_d, comp_d = delays.request(state, alloc)
+        link_d, comp_d = delays.delay(state, alloc.links, alloc.cloud)
         delay = link_d + comp_d
         if delay > limits[rid]:
             return None
@@ -128,6 +130,57 @@ def least_delay(state: PlacementState, request, entries) -> float:
     delays = (entry_delay(state, entry, request.rate_pps)
               for entry in entries)
     return min((d for d in delays if d is not None), default=math.inf)
+
+
+def score_child(state: PlacementState, delays: DelayMemo,
+                limits: dict[int, float], request, entry,
+                later) -> tuple[float | None, float]:
+    """(partial objective, bound) of the search child that admits `request`
+    on `entry`, scored on `state` itself. The child's value depends only on
+    its loads, so it is the same on any instance at the entry's cloud,
+    launched or not.
+
+    The loads are raised by the request's rate on the entry's links and
+    cloud as `admit` raises them, the admitted requests are summed by
+    `evaluate_node` and the new request's term is added last, as the
+    child's allocation order has it. The bound adds each `later` (request,
+    its origin's entries) pair's `least_delay`. Every raised load is then
+    put back, a key that was absent deleted, so `state` keeps its items in
+    their order. (None, inf) when an admitted request, the new one
+    included, would be over its SLA limit."""
+    link_load = state.link_load
+    cloud_load = state.cloud_load
+    links = entry.link_keys
+    cloud = entry.cloud
+    rate = request.rate_pps
+    saved = [(key, link_load.get(key)) for key in links]
+    saved_psi = cloud_load.get(cloud)
+    for key in links:
+        link_load[key] = link_load.get(key, 0.0) + rate
+    cloud_load[cloud] = cloud_load.get(cloud, 0.0) + rate
+    try:
+        obj = evaluate_node(state, delays, limits)
+        if obj is None:
+            return None, math.inf
+        link_d, comp_d = delays.delay(state, links, cloud)
+        delay = link_d + comp_d
+        if delay > limits[request.id]:
+            return None, math.inf
+        obj += delay
+        bound = obj
+        for other, entries in later:
+            bound += least_delay(state, other, entries)
+        return obj, bound
+    finally:
+        for key, old in reversed(saved):
+            if old is None:
+                link_load.pop(key, None)
+            else:
+                link_load[key] = old
+        if saved_psi is None:
+            del cloud_load[cloud]
+        else:
+            cloud_load[cloud] = saved_psi
 
 
 def check_cloud_capacity(state, scenario):
@@ -313,7 +366,12 @@ def solve_exact(scenario: Scenario,
     no stable path left. The bound never exceeds the objective of a
     placement below the node, so no node that could tie or beat the
     incumbent is pruned and the optimum and its tie-break are those of
-    the unbounded search."""
+    the unbounded search.
+
+    A node's children are scored by `score_child` on the node's own
+    state, once per stable entry, and that score serves every instance
+    choice on the entry. A leaf is compared with the incumbent from its
+    score alone; only a child the search descends into is cloned."""
     budget = budget or ExactBudget()
     _enforce_budget(scenario, budget)
     lists = build_sorted_lists(scenario.topology, scenario.k_paths)
@@ -323,69 +381,80 @@ def solve_exact(scenario: Scenario,
                                                          v.name))
     delays = DelayMemo(scenario.topology)
     limits = sla_limits(scenario)
-    best: dict = {"obj": None, "vec": None}
+    best: dict = ({"obj": None, "vec": None} if requests
+                  else {"obj": 0.0, "vec": []})
     # each origin's paths in (cloud, id) order; the lists do not change
     # during the search
     by_origin = {r.origin: sorted(lists.list_for_bs(r.origin),
                                   key=lambda e: (e.cloud, e.id))
                  for r in requests}
+    # per depth, each request placed after it with its origin's paths
+    later = [[(r, by_origin[r.origin]) for r in requests[depth + 1:]]
+             for depth in range(len(requests))]
 
-    def candidates(state, request):
+    def choices(state, demand, entry):
+        """(choice, VM type to launch or None) for every instance that can
+        take the request at the entry's cloud: fitting live instances in
+        id order, then launchable VM types in catalog order."""
+        out = []
+        for iid in sorted(iid for _, iid in
+                          state.residual_index[entry.cloud]):
+            if capacity_fits(demand, state.instances[iid].residual, deg):
+                out.append((("use", iid), None))
+        for vm in catalog:
+            if not capacity_fits(demand, vm.capacity, deg):
+                continue
+            if not state.residual_cloud[entry.cloud].covers(vm.capacity):
+                continue
+            if state.resources_used + vm.resource_units \
+                    > scenario.resource_cap_total + _EPS:
+                continue
+            if state.live_cost() + vm.hourly_cost \
+                    > scenario.cost_threshold + _EPS:
+                continue
+            out.append((("new", vm.name), vm))
+        return out
+
+    def recurse(state, depth, vec):
+        """Search below `state`, whose admitted requests all meet their
+        SLA; `vec` is its assignment vector."""
+        request = requests[depth]
+        leaf = depth == len(requests) - 1
         demand = state.demand(request)
         for entry in by_origin[request.origin]:
             if entry_delay(state, entry, request.rate_pps) is None:
                 continue
-            for iid in sorted(iid for _, iid in
-                              state.residual_index[entry.cloud]):
-                inst = state.instances[iid]
-                if capacity_fits(demand, inst.residual, deg):
-                    yield entry, ("use", iid), None
-            for vm in catalog:
-                if not capacity_fits(demand, vm.capacity, deg):
-                    continue
-                if not state.residual_cloud[entry.cloud].covers(vm.capacity):
-                    continue
-                if state.resources_used + vm.resource_units \
-                        > scenario.resource_cap_total + _EPS:
-                    continue
-                if state.live_cost() + vm.hourly_cost \
-                        > scenario.cost_threshold + _EPS:
-                    continue
-                yield entry, ("new", vm.name), vm
-
-    def recurse(state, depth, vec, obj):
-        """`obj` is the partial objective of `state`, already found to
-        meet every admitted request's SLA."""
-        if depth == len(requests):
-            if best["obj"] is None or obj < best["obj"] - 1e-15 \
-                    or (abs(obj - best["obj"]) <= 1e-15
-                        and vec < best["vec"]):
-                best["obj"] = obj
-                best["vec"] = list(vec)
-            return
-        request = requests[depth]
-        for entry, choice, vm in candidates(state, request):
-            work = state.clone()
-            if choice[0] == "new":
-                inst = work.launch_instance(entry.cloud, vm)
-                iid = inst.id
-            else:
-                iid = choice[1]
-            work.admit(request, iid, entry.id, entry.link_keys)
-            work_obj = evaluate_node(work, delays, limits)
-            if work_obj is None:
+            options = choices(state, demand, entry)
+            if not options:
                 continue
-            bound = work_obj
-            for later in requests[depth + 1:]:
-                bound += least_delay(work, later, by_origin[later.origin])
-            if bound == math.inf or (best["obj"] is not None
-                                     and bound > best["obj"] + 1e-15):
+            obj, bound = score_child(state, delays, limits, request, entry,
+                                     later[depth])
+            if bound == math.inf:
                 continue
-            vec.append((entry.cloud, entry.id) + choice)
-            recurse(work, depth + 1, vec, work_obj)
-            vec.pop()
+            for choice, vm in options:
+                step = (entry.cloud, entry.id) + choice
+                incumbent = best["obj"]
+                if leaf:
+                    if incumbent is None or obj < incumbent - 1e-15 \
+                            or (abs(obj - incumbent) <= 1e-15
+                                and vec + [step] < best["vec"]):
+                        best["obj"] = obj
+                        best["vec"] = vec + [step]
+                    continue
+                if incumbent is not None and bound > incumbent + 1e-15:
+                    continue
+                work = state.clone()
+                if vm is not None:
+                    iid = work.launch_instance(entry.cloud, vm).id
+                else:
+                    iid = choice[1]
+                work.admit(request, iid, entry.id, entry.link_keys)
+                vec.append(step)
+                recurse(work, depth + 1, vec)
+                vec.pop()
 
-    recurse(PlacementState(scenario), 0, [], 0.0)
+    if requests:
+        recurse(PlacementState(scenario), 0, [])
     if best["vec"] is None:
         raise InfeasibleError("no feasible placement of all requests")
 

@@ -155,6 +155,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "k_paths" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,flag", [
+        ("cost_threshold", "true"), ("resource_cap_total", "true"),
+        ("degradation_fraction", "false")])
+    def test_bool_for_a_number_is_two(self, tmp_path, capsys, field, flag):
+        data = scenario_to_dict(micro_scenario(2))
+        data[field] = flag == "true"
+        path = tmp_path / "flag.json"
+        path.write_text(json.dumps(data))
+        assert f'"{field}": {flag}' in path.read_text()
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
     def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
                                            capsys, monkeypatch):
         monkeypatch.setattr(paths, "_ENUMERATION_LIMIT", 1)

@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from cranplace.errors import BudgetExceeded, CranplaceError, InfeasibleError
 from cranplace.exact import (CONSTRAINTS, DelayMemo, ExactBudget,
-                             evaluate_constraints, evaluate_node,
-                             least_delay, objective, request_delay,
-                             sla_limits, solve_exact)
+                             entry_delay, evaluate_constraints,
+                             evaluate_node, least_delay, objective,
+                             request_delay, score_child, sla_limits,
+                             solve_exact)
 from cranplace.heuristics import ALL_KINDS, HeuristicConfig, place
-from cranplace.model import CapacityVector, ServiceRequest, with_requests
+from cranplace.model import (CapacityVector, ServiceRequest, capacity_fits,
+                             with_requests)
 from cranplace.paths import build_sorted_lists
 from cranplace.state import PlacementState
 from cranplace.topology import bs_node_id
@@ -429,3 +431,233 @@ def test_least_delay_is_inf_without_a_stable_path(tiny_scenario):
         state.link_load[key] = mu - req.rate_pps / 2
     assert least_delay(state, req, entries) == float("inf")
     assert not _placed_delays(state, lists, req)
+
+
+def _reference_solve(scenario):
+    """The clone-per-child search `solve_exact` replaced: every child is
+    cloned, launched, admitted and evaluated on its own state, and a leaf
+    is compared with the incumbent one level down. The same bound, order
+    and tie-break, so it must find the same placement."""
+    lists = build_sorted_lists(scenario.topology, scenario.k_paths)
+    requests = sorted(scenario.requests, key=lambda r: r.id)
+    deg = scenario.degradation_fraction
+    catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,
+                                                         v.name))
+    delays = DelayMemo(scenario.topology)
+    limits = sla_limits(scenario)
+    best = {"obj": None, "vec": None}
+    by_origin = {r.origin: sorted(lists.list_for_bs(r.origin),
+                                  key=lambda e: (e.cloud, e.id))
+                 for r in requests}
+
+    def candidates(state, request):
+        demand = state.demand(request)
+        for entry in by_origin[request.origin]:
+            if entry_delay(state, entry, request.rate_pps) is None:
+                continue
+            for iid in sorted(iid for _, iid in
+                              state.residual_index[entry.cloud]):
+                if capacity_fits(demand, state.instances[iid].residual,
+                                 deg):
+                    yield entry, ("use", iid), None
+            for vm in catalog:
+                if not capacity_fits(demand, vm.capacity, deg):
+                    continue
+                if not state.residual_cloud[entry.cloud].covers(vm.capacity):
+                    continue
+                if state.resources_used + vm.resource_units \
+                        > scenario.resource_cap_total + 1e-9:
+                    continue
+                if state.live_cost() + vm.hourly_cost \
+                        > scenario.cost_threshold + 1e-9:
+                    continue
+                yield entry, ("new", vm.name), vm
+
+    def recurse(state, depth, vec, obj):
+        if depth == len(requests):
+            if best["obj"] is None or obj < best["obj"] - 1e-15 \
+                    or (abs(obj - best["obj"]) <= 1e-15
+                        and vec < best["vec"]):
+                best["obj"] = obj
+                best["vec"] = list(vec)
+            return
+        request = requests[depth]
+        for entry, choice, vm in candidates(state, request):
+            work = state.clone()
+            if choice[0] == "new":
+                iid = work.launch_instance(entry.cloud, vm).id
+            else:
+                iid = choice[1]
+            work.admit(request, iid, entry.id, entry.link_keys)
+            work_obj = evaluate_node(work, delays, limits)
+            if work_obj is None:
+                continue
+            bound = work_obj
+            for later in requests[depth + 1:]:
+                bound += least_delay(work, later, by_origin[later.origin])
+            if bound == float("inf") or (best["obj"] is not None
+                                         and bound > best["obj"] + 1e-15):
+                continue
+            vec.append((entry.cloud, entry.id) + choice)
+            recurse(work, depth + 1, vec, work_obj)
+            vec.pop()
+
+    recurse(PlacementState(scenario), 0, [], 0.0)
+    if best["vec"] is None:
+        raise InfeasibleError("no feasible placement of all requests")
+    final = PlacementState(scenario)
+    for request, (cloud, path_id, kind, key) in zip(requests, best["vec"]):
+        entry = lists.paths_by_id[path_id]
+        if kind == "new":
+            iid = final.launch_instance(cloud, scenario.vm_type(key)).id
+        else:
+            iid = key
+        final.admit(request, iid, entry.id, entry.link_keys)
+    return final
+
+
+def _outcome(solve, scenario):
+    """What a search returns, comparable across searches: the objective's
+    repr, (request, cloud, instance, path) per request and the signature;
+    or the error it raises."""
+    try:
+        state = solve(scenario)
+    except InfeasibleError:
+        return "infeasible"
+    return (repr(objective(state, scenario)),
+            [(rid, a.cloud, a.instance_id, a.path_id)
+             for rid, a in sorted(state.allocations.items())],
+            state.signature())
+
+
+@st.composite
+def _micro_instances(draw):
+    """A micro topology under drawn requests (0 to 5, any origin and
+    class, rates up to 3x the generator's), a drawn VM catalog and cost
+    threshold: from roomy to infeasible, with shared instances and
+    ties."""
+    base = micro_scenario(draw(st.integers(0, 10_000)))
+    n_bs = len(base.topology.base_stations())
+    requests = [
+        ServiceRequest(
+            id=i, origin=bs_node_id(draw(st.integers(0, n_bs - 1)), n_bs),
+            class_name=draw(st.sampled_from(base.classes)).name,
+            volume_packets=draw(st.sampled_from((1000.0, 1000.0, 2000.0,
+                                                 3000.0))),
+            packet_size_bytes=500.0, arrival_time=0.001 * i,
+            holding_time=0.008)
+        for i in range(draw(st.sampled_from(range(6))))]
+    catalog = draw(st.sampled_from((base.vm_catalog, base.vm_catalog[:1],
+                                    base.vm_catalog[1:])))
+    cost = draw(st.sampled_from((10000.0, 10000.0, 10.0, 5.0)))
+    # an idle path's delay is 1.38e-7, 1.51e-7 or 1.63e-7 s, so these
+    # bounds leave a class one, two or all path levels
+    classes = [dataclasses.replace(c, sla_delay_bound=bound)
+               for c, bound in zip(base.classes, draw(st.lists(
+                   st.sampled_from((5e-4, 1.4e-7, 1.45e-7, 1.55e-7)),
+                   min_size=len(base.classes), max_size=len(base.classes))))]
+    return dataclasses.replace(base, requests=requests, vm_catalog=catalog,
+                               cost_threshold=cost, classes=classes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(scenario=_micro_instances())
+def test_search_matches_the_clone_per_child_reference(scenario):
+    assert _outcome(solve_exact, scenario) \
+        == _outcome(_reference_solve, scenario)
+
+
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_oracle_search_matches_the_clone_per_child_reference(seed):
+    scenario = oracle_scenario(seed)
+    assert _outcome(solve_exact, scenario) \
+        == _outcome(_reference_solve, scenario)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 200), admissions=_admissions,
+       pressure=_pressure, on_entry=st.sampled_from((None, 0.5, 1.01)),
+       pick=st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+       n_later=st.sampled_from(range(4)))
+def test_child_score_is_the_admitted_childs_value(seed, admissions,
+                                                  pressure, on_entry, pick,
+                                                  n_later):
+    scenario = micro_scenario(seed)
+    topo = scenario.topology
+    lists = build_sorted_lists(topo, scenario.k_paths)
+    delays = DelayMemo(topo)
+    limits = sla_limits(scenario)
+    state = PlacementState(scenario)
+    for step in admissions[:pick[0] % 4]:
+        _try_admit(state, lists, *step)
+    # push loaded links and clouds towards or over the SLA bound, so that
+    # the child's own or an earlier request's delay can exceed it
+    bound = min(c.sla_delay_bound for c in scenario.classes)
+    loaded = [(state.link_load, key, topo.links[key].service_rate_mu, True)
+              for key in sorted(state.link_load)]
+    loaded += [(state.cloud_load, cloud, topo.nodes[cloud].service_rate,
+                False) for cloud in sorted(state.cloud_load)]
+    for (loads, key, rate, md1), times in zip(loaded, pressure):
+        if times is not None:
+            loads[key] = _load_for_delay(times * bound, rate, md1)
+    open_requests = [r for r in scenario.requests
+                     if r.id not in state.allocations]
+    if not open_requests:
+        return
+    request = open_requests[pick[0] % len(open_requests)]
+    entries = lists.list_for_bs(request.origin)
+    entry = entries[pick[1] % len(entries)]
+    if on_entry is not None:   # the child's own last link near its bound
+        key, mu = entry.link_rates[-1]
+        bound = limits[request.id] - 1e-9
+        state.link_load[key] = max(0.0, _load_for_delay(
+            on_entry * bound, mu, True) - request.rate_pps)
+    if entry_delay(state, entry, request.rate_pps) is None:
+        return   # the search never scores an unstable entry
+    later = [(r, lists.list_for_bs(r.origin))
+             for r in open_requests if r is not request][:n_later]
+    link_items = list(state.link_load.items())
+    cloud_items = list(state.cloud_load.items())
+
+    obj, bound = score_child(state, delays, limits, request, entry, later)
+
+    assert list(state.link_load.items()) == link_items
+    assert list(state.cloud_load.items()) == cloud_items
+    child = state.clone()
+    vm = scenario.vm_catalog[-1]
+    child.residual_cloud[entry.cloud] = vm.capacity   # room for one more
+    iid = child.launch_instance(entry.cloud, vm).id
+    child.admit(request, iid, entry.id, entry.link_keys)
+    want = evaluate_node(child, delays, limits)
+    assert obj == want
+    if want is None:
+        assert bound == float("inf")
+    else:
+        assert bound == sum((least_delay(child, r, e) for r, e in later),
+                            want)
+
+
+def test_leaves_are_never_cloned(monkeypatch):
+    depths = []
+    clone = PlacementState.clone
+
+    def counting_clone(state):
+        depths.append(len(state.allocations))
+        return clone(state)
+
+    monkeypatch.setattr(PlacementState, "clone", counting_clone)
+    for make, seed in ((micro_scenario, 5), (micro_scenario, 24),
+                       (oracle_scenario, 2)):
+        scenario = make(seed)
+        depths.clear()
+        solve_exact(scenario)
+        assert depths   # the search descends below the root
+        assert max(depths) <= len(scenario.requests) - 2
+    one = with_requests(micro_scenario(5), micro_scenario(5).requests[:1])
+    depths.clear()
+    assert len(solve_exact(one).allocations) == 1
+    assert not depths
+    empty = solve_exact(with_requests(micro_scenario(5), []))
+    assert not empty.allocations and not empty.instances
+    assert not depths

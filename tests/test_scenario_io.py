@@ -225,6 +225,42 @@ class TestMalformedInput:
         with pytest.raises(ScenarioError, match="holding_tme"):
             load_scenario(str(path))
 
+    # where a JSON number goes, as a path into the scenario dict
+    NUMBER_FIELDS = [
+        ("cost_threshold",), ("resource_cap_total",),
+        ("degradation_fraction",),
+        ("vm_catalog", 0, "hourly_cost"), ("vm_catalog", 0, "capacity", 1),
+        ("topology", "links", 0, "service_rate_mu"),
+        ("topology", "nodes", 0, "service_rate"),
+        ("topology", "nodes", 0, "capacity", 0),
+        ("classes", 0, "sla_delay_bound"),
+        ("classes", 0, "demand_per_10gbps", 2),
+        ("requests", 0, "id"), ("requests", 0, "volume_packets"),
+        ("requests", 0, "arrival_time"),
+        ("params", "packet_size_bytes")]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("where", NUMBER_FIELDS,
+                             ids=lambda w: ".".join(map(str, w)))
+    def test_bool_for_a_number_is_rejected(self, where, flag):
+        data = scenario_to_dict(micro_scenario(2))
+        *parents, last = where
+        holder = data
+        for key in parents:
+            holder = holder[key]
+        holder[last] = flag
+        name = next(k for k in reversed(where) if isinstance(k, str))
+        with pytest.raises(ScenarioError, match=name):
+            scenario_from_dict(json.loads(json.dumps(data)))
+
+    def test_bool_field_still_takes_a_bool(self):
+        data = scenario_to_dict(micro_scenario(2))
+        link = next(d for d in data["topology"]["links"]
+                    if not d["ignore_load"])
+        link["ignore_load"] = True
+        scenario = scenario_from_dict(data)
+        assert scenario.topology.links[link["src"], link["dst"]].ignore_load
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_is_rejected(self, tmp_path, capsys, constant):
         path = tmp_path / "nan.yaml"
