@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 from .errors import BudgetExceeded, InfeasibleError
 from .model import CLOUD, Scenario, capacity_fits, demand_of
 from .paths import build_sorted_lists
-from .queueing import md1, mm1
-from .state import PlacementState
+from .state import (PlacementState, can_launch, committed_delay,
+                    projected_delay)
 
 _EPS = 1e-9
 
@@ -31,52 +31,11 @@ class ConstraintReport:
         return [name for name, (ok, _) in self.results.items() if not ok]
 
 
-def _cloud_service_rate(scenario, cloud):
-    return scenario.topology.nodes[cloud].service_rate
-
-
-class DelayMemo:
-    """M/D/1 link and M/M/1 cloud sojourn times under one topology's
-    service rates, memoized per link key and per cloud on the exact load.
-    A miss calls the queueing kernel, so an unstable load still raises."""
-
-    def __init__(self, topology):
-        self._links = topology.links
-        self._nodes = topology.nodes
-        self._memo: dict[tuple, float] = {}  # (link key or cloud, load)
-
-    def delay(self, state: PlacementState, links,
-              cloud: str) -> tuple[float, float]:
-        """(link delay, compute delay) of a request routed over `links` to
-        `cloud` under the state's committed loads, link terms summed in
-        path order."""
-        memo = self._memo
-        link_load = state.link_load
-        link_d = 0.0
-        for key in links:
-            lam = link_load.get(key, 0.0)
-            d = memo.get((key, lam))
-            if d is None:
-                d = memo[key, lam] = md1(lam,
-                                         self._links[key].service_rate_mu)
-            link_d += d
-        upsilon = self._nodes[cloud].service_rate
-        comp_d = 0.0
-        if upsilon > 0:
-            psi = state.cloud_load.get(cloud, 0.0)
-            comp_d = memo.get((cloud, psi))
-            if comp_d is None:
-                comp_d = memo[cloud, psi] = mm1(psi, upsilon)
-        return link_d, comp_d
-
-
 def request_delay(state: PlacementState, scenario: Scenario,
                   request_id: int) -> tuple[float, float]:
     """(link delay, compute delay) of an admitted request under the
     state's committed loads."""
-    alloc = state.allocations[request_id]
-    return DelayMemo(scenario.topology).delay(state, alloc.links,
-                                               alloc.cloud)
+    return committed_delay(state, state.allocations[request_id])
 
 
 def sla_limits(scenario: Scenario) -> dict[int, float]:
@@ -85,14 +44,14 @@ def sla_limits(scenario: Scenario) -> dict[int, float]:
             + _EPS for r in scenario.requests}
 
 
-def evaluate_node(state: PlacementState, delays: DelayMemo,
+def evaluate_node(state: PlacementState,
                   limits: dict[int, float]) -> float | None:
     """Partial objective of a search node: every admitted request's delay,
     summed in allocation order. None at the first request over its SLA
     limit."""
     total = 0.0
     for rid, alloc in state.allocations.items():
-        link_d, comp_d = delays.delay(state, alloc.links, alloc.cloud)
+        link_d, comp_d = committed_delay(state, alloc)
         delay = link_d + comp_d
         if delay > limits[rid]:
             return None
@@ -100,71 +59,54 @@ def evaluate_node(state: PlacementState, delays: DelayMemo,
     return total
 
 
-def entry_delay(state: PlacementState, entry, rate: float) -> float | None:
-    """Delay a request of `rate` would have on `entry` if admitted now: the
-    M/D/1 link terms in path order plus the M/M/1 cloud term, at the
-    state's loads plus `rate`. None if a link or the cloud would be
-    unstable."""
-    link_load = state.link_load
-    delay = 0.0
-    for key, mu in entry.link_rates:
-        lam = link_load.get(key, 0.0) + rate
-        if lam >= mu:
-            return None
-        delay += md1(lam, mu)
-    upsilon = state.scenario.topology.nodes[entry.cloud].service_rate
-    if upsilon > 0:
-        psi = state.cloud_load.get(entry.cloud, 0.0) + rate
-        if psi >= upsilon:
-            return None
-        delay += mm1(psi, upsilon)
-    return delay
-
-
 def least_delay(state: PlacementState, request, entries) -> float:
     """Least delay `request` can have in any placement that extends
-    `state`: the least `entry_delay` over `entries`, its origin's paths.
-    Loads only grow as requests are admitted and both queue terms grow
-    with load, so the request's delay once placed is never below this.
-    inf when no entry is stable."""
-    delays = (entry_delay(state, entry, request.rate_pps)
+    `state`: the least `projected_delay` over `entries`, its origin's
+    paths. Loads only grow as requests are admitted and both queue terms
+    grow with load, so the request's delay once placed is never below
+    this. inf when no entry is stable."""
+    delays = (projected_delay(state, entry, request.rate_pps)
               for entry in entries)
-    return min((d for d in delays if d is not None), default=math.inf)
+    return min((d[0] + d[1] for d in delays if d is not None),
+               default=math.inf)
 
 
-def score_child(state: PlacementState, delays: DelayMemo,
-                limits: dict[int, float], request, entry,
-                later) -> tuple[float | None, float]:
+def score_child(state: PlacementState, limits: dict[int, float], request,
+                entry, later) -> tuple[float | None, float]:
     """(partial objective, bound) of the search child that admits `request`
     on `entry`, scored on `state` itself. The child's value depends only on
     its loads, so it is the same on any instance at the entry's cloud,
     launched or not.
 
-    The loads are raised by the request's rate on the entry's links and
-    cloud as `admit` raises them, the admitted requests are summed by
-    `evaluate_node` and the new request's term is added last, as the
-    child's allocation order has it. The bound adds each `later` (request,
-    its origin's entries) pair's `least_delay`. Every raised load is then
-    put back, a key that was absent deleted, so `state` keeps its items in
-    their order. (None, inf) when an admitted request, the new one
-    included, would be over its SLA limit."""
+    The new request's term is its `projected_delay` on `state`, which is
+    the delay it has once admitted. The loads are then raised by its rate
+    on the entry's links and cloud as `admit` raises them, the admitted
+    requests are summed by `evaluate_node` and the new request's term is
+    added last, as the child's allocation order has it. The bound adds
+    each `later` (request, its origin's entries) pair's `least_delay`.
+    Every raised load is then put back, a key that was absent deleted, so
+    `state` keeps its items in their order. (None, inf) when the entry is
+    unstable, or when an admitted request, the new one included, would be
+    over its SLA limit."""
+    rate = request.rate_pps
+    delays = projected_delay(state, entry, rate)
+    if delays is None:
+        return None, math.inf
+    delay = delays[0] + delays[1]
+    if delay > limits[request.id]:
+        return None, math.inf
     link_load = state.link_load
     cloud_load = state.cloud_load
     links = entry.link_keys
     cloud = entry.cloud
-    rate = request.rate_pps
     saved = [(key, link_load.get(key)) for key in links]
     saved_psi = cloud_load.get(cloud)
     for key in links:
         link_load[key] = link_load.get(key, 0.0) + rate
     cloud_load[cloud] = cloud_load.get(cloud, 0.0) + rate
     try:
-        obj = evaluate_node(state, delays, limits)
+        obj = evaluate_node(state, limits)
         if obj is None:
-            return None, math.inf
-        link_d, comp_d = delays.delay(state, links, cloud)
-        delay = link_d + comp_d
-        if delay > limits[request.id]:
             return None, math.inf
         obj += delay
         bound = obj
@@ -253,8 +195,7 @@ def check_stability(state, scenario):
         if lam >= topo.links[key].service_rate_mu:
             return False, key
     for cloud, psi in sorted(state.cloud_load.items()):
-        upsilon = _cloud_service_rate(scenario, cloud)
-        if upsilon > 0 and psi >= upsilon:
+        if psi >= topo.nodes[cloud].service_rate:
             return False, (cloud,)
     return True, None
 
@@ -369,9 +310,10 @@ def solve_exact(scenario: Scenario,
     the unbounded search.
 
     A node's children are scored by `score_child` on the node's own
-    state, once per stable entry, and that score serves every instance
-    choice on the entry. A leaf is compared with the incumbent from its
-    score alone; only a child the search descends into is cloned."""
+    state, once per entry with an instance choice, and that score serves
+    every instance choice on the entry. A leaf is compared with the
+    incumbent from its score alone; only a child the search descends into
+    is cloned."""
     budget = budget or ExactBudget()
     _enforce_budget(scenario, budget)
     lists = build_sorted_lists(scenario.topology, scenario.k_paths)
@@ -379,7 +321,6 @@ def solve_exact(scenario: Scenario,
     deg = scenario.degradation_fraction
     catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,
                                                          v.name))
-    delays = DelayMemo(scenario.topology)
     limits = sla_limits(scenario)
     best: dict = ({"obj": None, "vec": None} if requests
                   else {"obj": 0.0, "vec": []})
@@ -402,17 +343,9 @@ def solve_exact(scenario: Scenario,
             if capacity_fits(demand, state.instances[iid].residual, deg):
                 out.append((("use", iid), None))
         for vm in catalog:
-            if not capacity_fits(demand, vm.capacity, deg):
-                continue
-            if not state.residual_cloud[entry.cloud].covers(vm.capacity):
-                continue
-            if state.resources_used + vm.resource_units \
-                    > scenario.resource_cap_total + _EPS:
-                continue
-            if state.live_cost() + vm.hourly_cost \
-                    > scenario.cost_threshold + _EPS:
-                continue
-            out.append((("new", vm.name), vm))
+            if capacity_fits(demand, vm.capacity, deg) \
+                    and can_launch(state, entry.cloud, vm):
+                out.append((("new", vm.name), vm))
         return out
 
     def recurse(state, depth, vec):
@@ -422,12 +355,10 @@ def solve_exact(scenario: Scenario,
         leaf = depth == len(requests) - 1
         demand = state.demand(request)
         for entry in by_origin[request.origin]:
-            if entry_delay(state, entry, request.rate_pps) is None:
-                continue
             options = choices(state, demand, entry)
             if not options:
                 continue
-            obj, bound = score_child(state, delays, limits, request, entry,
+            obj, bound = score_child(state, limits, request, entry,
                                      later[depth])
             if bound == math.inf:
                 continue

@@ -15,8 +15,8 @@ from .errors import ScenarioError
 from .migration import MigrationParams, try_migrate_for_fit
 from .model import CapacityVector, Scenario, VmType, capacity_fits
 from .paths import build_sorted_lists, refresh_one
-from .queueing import md1, mm1
-from .state import Allocation, DelayBreakdown, PlacementState
+from .state import (Allocation, DelayBreakdown, PlacementState, can_launch,
+                    committed_delay, projected_delay)
 
 BNB_PLAIN = "bnb_plain"
 BNB_SORTED_ASC = "bnb_sorted_asc"
@@ -110,8 +110,6 @@ class _Run:
         self.catalog = sorted(scenario.vm_catalog,
                               key=lambda v: (v.hourly_cost, v.name))
         self.rng = random.Random(config.seed)
-        self.cloud_rate = {c.id: c.service_rate
-                           for c in scenario.topology.clouds()}
         # append-only launch history per cloud: the plain scan walks it
         # and skips retired ids
         self.launch_order: dict[str, list[int]] = {}
@@ -140,45 +138,24 @@ class _Run:
         """Stability + SLA screen for placing `request` on `entry`'s path
         and cloud. Returns projected (link_delay, compute_delay) or None."""
         self.work += 1 + len(entry.links)
-        rate = request.rate_pps
-        link_load = state.link_load
-        link_d = 0.0
-        for key, mu in entry.link_rates:
-            lam = link_load.get(key, 0.0) + rate
-            if lam >= mu:
-                return None
-            link_d += md1(lam, mu)
-        cloud = entry.cloud
-        upsilon = self.cloud_rate[cloud]
-        comp_d = 0.0
-        if upsilon > 0:
-            psi = state.cloud_load.get(cloud, 0.0) + rate
-            if psi >= upsilon:
-                return None
-            comp_d = mm1(psi, upsilon)
-        bound = self.scenario.service_class(request.class_name).sla_delay_bound
-        if link_d + comp_d > bound + _EPS:
+        delays = projected_delay(state, entry, request.rate_pps)
+        if delays is None:
             return None
-        return link_d, comp_d
+        bound = self.scenario.service_class(request.class_name).sla_delay_bound
+        if delays[0] + delays[1] > bound + _EPS:
+            return None
+        return delays
 
     def _launchable_vm(self, state, cloud, demand, fitting=None):
         """Cheapest VM type the request fits on, launchable at this cloud
         under the cloud residual, resource cap and cost threshold; taken
         from `fitting`, the types it fits on in catalog order, if given."""
-        residual = state.residual_cloud[cloud]
         for vm in self.catalog if fitting is None else fitting:
             if fitting is None and not capacity_fits(
                     demand, vm.capacity, self.degradation):
                 continue
-            if not residual.covers(vm.capacity):
-                continue
-            if state.resources_used + vm.resource_units \
-                    > self.scenario.resource_cap_total + _EPS:
-                continue
-            if state.live_cost() + vm.hourly_cost \
-                    > self.scenario.cost_threshold + _EPS:
-                continue
-            return vm
+            if can_launch(state, cloud, vm):
+                return vm
         return None
 
     # -- instance selection (main state, indexed) -------------------------
@@ -237,14 +214,7 @@ class _Run:
     def _record_delays(self, alloc: Allocation):
         """(Re)compute the admitted-time link and compute delay of one
         allocation against the current main state."""
-        st = self.state
-        topo_links = self.scenario.topology.links
-        link_d = 0.0
-        for key in alloc.links:
-            link_d += md1(st.link_load[key], topo_links[key].service_rate_mu)
-        upsilon = self.cloud_rate[alloc.cloud]
-        comp_d = (mm1(st.cloud_load[alloc.cloud], upsilon)
-                  if upsilon > 0 else 0.0)
+        link_d, comp_d = committed_delay(self.state, alloc)
         bd = self.breakdown.setdefault(alloc.request_id, DelayBreakdown())
         bd.link_delay = link_d
         bd.compute_delay = comp_d

@@ -55,11 +55,6 @@ class CapacityVector(NamedTuple):
                 and self.storage >= other.storage
                 and self.network >= other.network)
 
-    def min_with(self, other: "CapacityVector") -> "CapacityVector":
-        return CapacityVector(min(self.cpu, other.cpu),
-                              min(self.storage, other.storage),
-                              min(self.network, other.network))
-
     def nonnegative(self) -> bool:
         return self.cpu >= 0 and self.storage >= 0 and self.network >= 0
 
@@ -99,6 +94,10 @@ class Node:
             raise ScenarioError(f"non-cloud node {self.id} has capacity")
         if self.kind != CLOUD and self.service_rate != 0:
             raise ScenarioError(f"non-cloud node {self.id} has service rate")
+        # the M/M/1 term of every request placed there divides by it
+        if self.kind == CLOUD and not _positive(self.service_rate):
+            raise ScenarioError(f"cloud {self.id}: service_rate must be "
+                                "finite and positive")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Mutable placement state: allocations, live VM instances, residual
 capacities, queue loads, run counters, a per-cloud index of instances by
-remaining capacity, and an undo journal for trial changes."""
+remaining capacity, and an undo journal for trial changes; and the
+admission rules every solver reads them by: a request's projected and
+committed delay, and the VM launch test."""
 
 from __future__ import annotations
 
@@ -10,8 +12,10 @@ from typing import NamedTuple
 
 from .errors import CranplaceError
 from .model import CapacityVector, Scenario, ServiceRequest, VmType, demand_of
+from .queueing import md1, mm1
 
 _MISSING = object()
+_EPS = 1e-9
 
 
 @dataclass
@@ -337,3 +341,53 @@ class PlacementState:
             self.instances_launched,
             round(self.resources_used, 9),
         )
+
+
+# -- admission rules -------------------------------------------------------
+
+def projected_delay(state: PlacementState, entry,
+                    rate: float) -> tuple[float, float] | None:
+    """(link delay, compute delay) a request of `rate` would have on a
+    path entry if admitted now: the M/D/1 terms of the entry's
+    `link_rates` in path order and the M/M/1 term of its cloud, at the
+    state's loads plus `rate`. None if a link or the cloud would be
+    unstable."""
+    link_load = state.link_load
+    link_d = 0.0
+    for key, mu in entry.link_rates:
+        lam = link_load.get(key, 0.0) + rate
+        if lam >= mu:
+            return None
+        link_d += md1(lam, mu)
+    cloud = entry.cloud
+    upsilon = state.scenario.topology.nodes[cloud].service_rate
+    psi = state.cloud_load.get(cloud, 0.0) + rate
+    if psi >= upsilon:
+        return None
+    return link_d, mm1(psi, upsilon)
+
+
+def committed_delay(state: PlacementState,
+                    alloc: Allocation) -> tuple[float, float]:
+    """(link delay, compute delay) of an admitted request at the state's
+    loads, its link terms summed in path order."""
+    topology = state.scenario.topology
+    link_load = state.link_load
+    links = topology.links
+    link_d = 0.0
+    for key in alloc.links:
+        link_d += md1(link_load.get(key, 0.0), links[key].service_rate_mu)
+    cloud = alloc.cloud
+    return link_d, mm1(state.cloud_load.get(cloud, 0.0),
+                       topology.nodes[cloud].service_rate)
+
+
+def can_launch(state: PlacementState, cloud: str, vm: VmType) -> bool:
+    """Whether `cloud` can launch one `vm` now: its residual covers the
+    VM, and the resource cap and the cost threshold hold with it."""
+    scenario = state.scenario
+    return (state.residual_cloud[cloud].covers(vm.capacity)
+            and state.resources_used + vm.resource_units
+            <= scenario.resource_cap_total + _EPS
+            and state.live_cost() + vm.hourly_cost
+            <= scenario.cost_threshold + _EPS)

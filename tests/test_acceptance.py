@@ -146,27 +146,32 @@ def test_criterion_4_default_scenario_ranking(capfd):
 
 # ---------------------------------------------------------------- criterion 5
 
+def scaling_walls(sizes, seed, repetitions):
+    """Criterion 5's timing loop: the least wall time of `place()` per
+    kind and request count over interleaved repetitions, which damps
+    scheduler noise."""
+    scenarios = {
+        n: make_scenario(50, 5, n, seed=seed, load_fraction=0.3,
+                         resource_cap_total=1e9, cost_threshold=1e9,
+                         params={"cloud_capacity_total": [1e6, 1e7, 1e6],
+                                 "holding_time": 0.002,
+                                 "volume_packets": 250.0})
+        for n in sizes
+    }
+    wall = {kind: {n: float("inf") for n in sizes} for kind in ALL_KINDS}
+    for _ in range(repetitions):
+        for n in sizes:
+            for kind in ALL_KINDS:
+                t0 = time.perf_counter()
+                place(scenarios[n], HeuristicConfig(kind, seed=seed))
+                dt = time.perf_counter() - t0
+                wall[kind][n] = min(wall[kind][n], dt)
+    return wall
+
+
 def test_criterion_5_scaling(capfd):
     with criterion(capfd, 5, "wall-time scaling across request counts"):
-        sizes = (2000, 4000, 8000)
-        scenarios = {
-            n: make_scenario(50, 5, n, seed=7, load_fraction=0.3,
-                             resource_cap_total=1e9, cost_threshold=1e9,
-                             params={"cloud_capacity_total":
-                                     [1e6, 1e7, 1e6],
-                                     "holding_time": 0.002,
-                                     "volume_packets": 250.0})
-            for n in sizes
-        }
-        # min over interleaved repetitions damps scheduler noise
-        wall = {kind: {n: float("inf") for n in sizes} for kind in ALL_KINDS}
-        for _ in range(7):
-            for n in sizes:
-                for kind in ALL_KINDS:
-                    t0 = time.perf_counter()
-                    place(scenarios[n], HeuristicConfig(kind, seed=7))
-                    dt = time.perf_counter() - t0
-                    wall[kind][n] = min(wall[kind][n], dt)
+        wall = scaling_walls((2000, 4000, 8000), seed=7, repetitions=7)
         ratio_asc = wall["bnb_sorted_asc"][8000] / wall["bnb_sorted_asc"][4000]
         ratio_plain = wall["bnb_plain"][8000] / wall["bnb_plain"][4000]
         assert ratio_asc < ratio_plain, (ratio_asc, ratio_plain)
@@ -271,3 +276,16 @@ def test_criterion_8_cli_determinism(capsys, tmp_path):
                 runs.append((stdout if name == "simulate" else None,
                              digests))
             assert runs[0] == runs[1] == runs[2], name
+
+
+if __name__ == "__main__":
+    # criterion 5's margins from the test's own loop; each gate holds
+    # while its margin is above 1 (ratio_plain above ratio_asc)
+    walls = scaling_walls((2000, 4000, 8000), seed=7, repetitions=7)
+    at_max = {kind: walls[kind][8000] for kind in ALL_KINDS}
+    bnb = [at_max[kind] for kind in BNB_KINDS]
+    asc, plain = walls["bnb_sorted_asc"], walls["bnb_plain"]
+    print(f"minBnB/sa_short: {min(bnb) / at_max['sa_short']:.2f}")
+    print(f"sa_long/maxBnB: {at_max['sa_long'] / max(bnb):.2f}")
+    print(f"ratio_asc vs ratio_plain: {asc[8000] / asc[4000]:.2f} vs "
+          f"{plain[8000] / plain[4000]:.2f}")

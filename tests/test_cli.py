@@ -170,6 +170,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
+    def test_bad_cloud_service_rate_is_two(self, tmp_path, capsys, rate):
+        data = scenario_to_dict(micro_scenario(2))
+        cloud = next(n for n in data["topology"]["nodes"]
+                     if n["kind"] == "cloud")
+        cloud["service_rate"] = rate
+        path = tmp_path / "rate.yaml"
+        path.write_text(yaml.safe_dump(data))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "service_rate" in err and "Traceback" not in err
+
     def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
                                            capsys, monkeypatch):
         monkeypatch.setattr(paths, "_ENUMERATION_LIMIT", 1)

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cranplace.errors import BudgetExceeded, CranplaceError, InfeasibleError
-from cranplace.exact import (CONSTRAINTS, DelayMemo, ExactBudget,
-                             entry_delay, evaluate_constraints,
+from cranplace.exact import (CONSTRAINTS, ExactBudget, evaluate_constraints,
                              evaluate_node, least_delay, objective,
                              request_delay, score_child, sla_limits,
                              solve_exact)
@@ -14,7 +13,7 @@ from cranplace.heuristics import ALL_KINDS, HeuristicConfig, place
 from cranplace.model import (CapacityVector, ServiceRequest, capacity_fits,
                              with_requests)
 from cranplace.paths import build_sorted_lists
-from cranplace.state import PlacementState
+from cranplace.state import PlacementState, projected_delay
 from cranplace.topology import bs_node_id
 
 from conftest import micro_scenario
@@ -348,13 +347,11 @@ def test_node_evaluation_matches_request_delays(seed, admissions,
     scenario = micro_scenario(seed)
     topo = scenario.topology
     lists = build_sorted_lists(topo, scenario.k_paths)
-    # one memo across every state, so later states hit earlier entries
-    delays = DelayMemo(topo)
     limits = sla_limits(scenario)
     state = PlacementState(scenario)
     for step in admissions:
         if _try_admit(state, lists, *step):
-            assert evaluate_node(state, delays, limits) \
+            assert evaluate_node(state, limits) \
                 == _reference_node_value(state, scenario)
     bound = min(c.sla_delay_bound for c in scenario.classes)
     loaded = [(state.link_load, key, topo.links[key].service_rate_mu, True)
@@ -364,7 +361,7 @@ def test_node_evaluation_matches_request_delays(seed, admissions,
     for (loads, key, rate, md1), times in zip(loaded, pressure):
         if times is not None:
             loads[key] = _load_for_delay(times * bound, rate, md1)
-        assert evaluate_node(state, delays, limits) \
+        assert evaluate_node(state, limits) \
             == _reference_node_value(state, scenario)
 
 
@@ -443,7 +440,6 @@ def _reference_solve(scenario):
     deg = scenario.degradation_fraction
     catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,
                                                          v.name))
-    delays = DelayMemo(scenario.topology)
     limits = sla_limits(scenario)
     best = {"obj": None, "vec": None}
     by_origin = {r.origin: sorted(lists.list_for_bs(r.origin),
@@ -453,7 +449,7 @@ def _reference_solve(scenario):
     def candidates(state, request):
         demand = state.demand(request)
         for entry in by_origin[request.origin]:
-            if entry_delay(state, entry, request.rate_pps) is None:
+            if projected_delay(state, entry, request.rate_pps) is None:
                 continue
             for iid in sorted(iid for _, iid in
                               state.residual_index[entry.cloud]):
@@ -489,7 +485,7 @@ def _reference_solve(scenario):
             else:
                 iid = choice[1]
             work.admit(request, iid, entry.id, entry.link_keys)
-            work_obj = evaluate_node(work, delays, limits)
+            work_obj = evaluate_node(work, limits)
             if work_obj is None:
                 continue
             bound = work_obj
@@ -586,7 +582,6 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
     scenario = micro_scenario(seed)
     topo = scenario.topology
     lists = build_sorted_lists(topo, scenario.k_paths)
-    delays = DelayMemo(topo)
     limits = sla_limits(scenario)
     state = PlacementState(scenario)
     for step in admissions[:pick[0] % 4]:
@@ -613,14 +608,16 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
         bound = limits[request.id] - 1e-9
         state.link_load[key] = max(0.0, _load_for_delay(
             on_entry * bound, mu, True) - request.rate_pps)
-    if entry_delay(state, entry, request.rate_pps) is None:
-        return   # the search never scores an unstable entry
+    if projected_delay(state, entry, request.rate_pps) is None:
+        assert score_child(state, limits, request, entry, []) \
+            == (None, float("inf"))
+        return
     later = [(r, lists.list_for_bs(r.origin))
              for r in open_requests if r is not request][:n_later]
     link_items = list(state.link_load.items())
     cloud_items = list(state.cloud_load.items())
 
-    obj, bound = score_child(state, delays, limits, request, entry, later)
+    obj, bound = score_child(state, limits, request, entry, later)
 
     assert list(state.link_load.items()) == link_items
     assert list(state.cloud_load.items()) == cloud_items
@@ -629,7 +626,7 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
     child.residual_cloud[entry.cloud] = vm.capacity   # room for one more
     iid = child.launch_instance(entry.cloud, vm).id
     child.admit(request, iid, entry.id, entry.link_keys)
-    want = evaluate_node(child, delays, limits)
+    want = evaluate_node(child, limits)
     assert obj == want
     if want is None:
         assert bound == float("inf")

@@ -16,7 +16,6 @@ class TestCapacityVector:
         assert a + b == CapacityVector(1.5, 3.0, 4.5)
         assert a - b == CapacityVector(0.5, 1.0, 1.5)
         assert a.scale(2.0) == CapacityVector(2.0, 4.0, 6.0)
-        assert a.min_with(b) == b
 
     def test_covers_is_componentwise(self):
         big = CapacityVector(2.0, 2.0, 2.0)
@@ -53,6 +52,14 @@ class TestNodesAndLinks:
     def test_non_cloud_capacity_rejected(self):
         with pytest.raises(ScenarioError):
             Node("r0", "router", capacity=CapacityVector(1.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, math.nan, math.inf])
+    def test_cloud_service_rate_must_be_finite_and_positive(self, rate):
+        # a zero or negative rate would drop the M/M/1 term of every
+        # request placed there
+        with pytest.raises(ScenarioError, match="service_rate"):
+            Node("c0", "cloud", service_rate=rate)
+        Node("c0", "cloud", service_rate=1e6)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ScenarioError):
@@ -114,7 +121,7 @@ class TestCatalogAndClasses:
                 parts[i] = bad
                 cap = CapacityVector(*parts)
                 with pytest.raises(ScenarioError):
-                    Node("c0", "cloud", capacity=cap)
+                    Node("c0", "cloud", capacity=cap, service_rate=1e6)
                 with pytest.raises(ScenarioError):
                     VmType("t", cap, 0.5)
                 with pytest.raises(ScenarioError):

@@ -89,15 +89,17 @@ class TestRoundTrip:
                     "params"):
             del data[key]
         for n in data["topology"]["nodes"]:
-            del n["capacity"], n["service_rate"]
+            del n["capacity"]
+            if n["kind"] != "cloud":   # a cloud has no default rate
+                del n["service_rate"]
         for l in data["topology"]["links"]:
             del l["ignore_load"]
         for r in data["requests"]:
             del r["arrival_time"], r["holding_time"]
         got = scenario_from_dict(data)
         want = Scenario(
-            Topology([Node(n.id, n.kind) for n in
-                      tiny_scenario.topology.nodes.values()],
+            Topology([Node(n.id, n.kind, service_rate=n.service_rate)
+                      for n in tiny_scenario.topology.nodes.values()],
                      [Link(l.src, l.dst, l.service_rate_mu, l.capacity_bw)
                       for l in tiny_scenario.topology.links.values()]),
             tiny_scenario.vm_catalog, tiny_scenario.classes,
@@ -260,6 +262,20 @@ class TestMalformedInput:
         link["ignore_load"] = True
         scenario = scenario_from_dict(data)
         assert scenario.topology.links[link["src"], link["dst"]].ignore_load
+
+    @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
+    def test_bad_cloud_service_rate_is_rejected(self, tmp_path, rate):
+        data = scenario_to_dict(micro_scenario(2))
+        cloud = next(n for n in data["topology"]["nodes"]
+                     if n["kind"] == "cloud")
+        cloud["service_rate"] = rate
+        with pytest.raises(ScenarioError, match="service_rate"):
+            scenario_from_dict(data)
+        # YAML, since a JSON file cannot hold NaN or inf
+        path = tmp_path / "rate.yaml"
+        path.write_text(yaml.safe_dump(data))
+        with pytest.raises(ScenarioError, match="service_rate"):
+            load_scenario(str(path))
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_json_is_rejected(self, tmp_path, capsys, constant):
