@@ -8,9 +8,8 @@ from .exact import (ConstraintReport, ExactBudget, evaluate_constraints,
                     objective, solve_exact)
 from .experiments import (RunReport, SweepPoint, compare_heuristics,
                           optimal_cloud_count, run_sweep)
-from .heuristics import (HeuristicConfig, PlacementResult, place, place_bnb,
-                         place_sa, sa_iterations)
-from .migration import MigrationParams, migration_time, try_migrate_for_fit
+from .heuristics import HeuristicConfig, PlacementResult, place, sa_iterations
+from .migration import migration_time, try_migrate_for_fit
 from .model import (DEFAULT_CLASSES, DEFAULT_VM_CATALOG, CapacityVector,
                     Link, Node, Scenario, ServiceClass, ServiceRequest,
                     Topology, VmType, capacity_fits, demand_of)
@@ -27,7 +26,7 @@ __all__ = [
     "BudgetExceeded", "CapacityVector", "ConstraintReport", "CranplaceError",
     "DEFAULT_CLASSES", "DEFAULT_VM_CATALOG", "ExactBudget",
     "HeuristicConfig", "InfeasibleError", "Link", "LinkParams",
-    "MigrationParams", "NoPath", "Node", "PlacementResult", "PlacementState",
+    "NoPath", "Node", "PlacementResult", "PlacementState",
     "QueueLoad", "RunReport", "Scenario", "ScenarioError", "ServiceClass",
     "ServiceRequest", "SimResult", "StabilityViolation", "SweepPoint",
     "Topology", "VmType", "average_bs_cloud_hops", "build_sorted_lists",
@@ -35,6 +34,6 @@ __all__ = [
     "evaluate_constraints", "generate_workload", "k_shortest_paths",
     "load_scenario", "make_scenario", "md1_delay", "migration_time",
     "mm1_delay", "objective", "optimal_cloud_count", "path_delay", "place",
-    "place_bnb", "place_sa", "run_sweep", "sa_iterations", "save_scenario",
+    "run_sweep", "sa_iterations", "save_scenario",
     "simulate_queue", "simulate_tandem", "solve_exact", "try_migrate_for_fit",
 ]

@@ -31,8 +31,8 @@ DEFAULT_CHAIN_GBPS = 320.0
 DEFAULT_CLOUD_RATE_TOTAL = 1.2e8
 DEFAULT_CLOUD_CAPACITY_TOTAL = (24000.0, 90000.0, 12000.0)
 
-#: the `Scenario.params` keys a placement run reads; a scenario's own
-#: params override them key by key
+#: the run settings, read through `Scenario.setting`: a scenario's own
+#: params override them key by key, and `Scenario` checks them when built
 DEFAULT_PARAMS = {
     "packet_size_bytes": DEFAULT_PACKET_SIZE_BYTES,
     "migration_overhead_s": 1e-4,

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceeded, InfeasibleError
-from .model import CLOUD, Scenario, capacity_fits, demand_of
+from .model import CLOUD, CapacityVector, Scenario, capacity_fits, demand_of
 from .paths import build_sorted_lists
 from .state import (PlacementState, can_launch, committed_delay,
                     projected_delay)
@@ -130,9 +130,8 @@ def check_cloud_capacity(state, scenario):
     capacity vector (boundary inclusive)."""
     per_cloud = {}
     for inst in state.instances.values():
-        per_cloud[inst.cloud] = per_cloud.setdefault(
-            inst.cloud, inst.vm_type.capacity.scale(0.0)) \
-            + inst.vm_type.capacity
+        per_cloud[inst.cloud] = per_cloud.get(
+            inst.cloud, CapacityVector()) + inst.vm_type.capacity
     for cloud, used in sorted(per_cloud.items()):
         cap = scenario.topology.nodes[cloud].capacity
         if (used.cpu > cap.cpu + _EPS or used.storage > cap.storage + _EPS
@@ -147,7 +146,7 @@ def check_vm_capacity(state, scenario):
     CPU/network and fully on storage."""
     deg = scenario.degradation_fraction
     for iid, inst in sorted(state.instances.items()):
-        used = inst.vm_type.capacity.scale(0.0)
+        used = CapacityVector()
         for rid, consumed in inst.assigned.items():
             used = used + consumed
             demand = demand_of(scenario.request(rid), scenario)
@@ -255,17 +254,15 @@ def evaluate_constraints(state, scenario) -> ConstraintReport:
 def objective(state: PlacementState, scenario: Scenario,
               check_feasible: bool = True) -> float:
     """Total response time: sum over admitted requests of chosen-path link
-    delay plus cloud compute delay, iterated in (request, origin, cloud)
-    order so the term sequence matches a dense-matrix expansion exactly."""
+    delay plus cloud compute delay, in request id order, so the float sum
+    does not depend on the order the requests were admitted in."""
     if check_feasible:
         report = evaluate_constraints(state, scenario)
         if not report.feasible:
             raise InfeasibleError(
                 f"state violates: {', '.join(report.failures())}")
     total = 0.0
-    order = sorted(state.allocations.items(),
-                   key=lambda kv: (kv[0], state.allocations[kv[0]].cloud))
-    for rid, alloc in order:
+    for rid in sorted(state.allocations):
         link_d, comp_d = request_delay(state, scenario, rid)
         total += link_d + comp_d
     return total

@@ -7,12 +7,12 @@ import csv
 import os
 from dataclasses import dataclass, replace
 
-from .defaults import DEFAULT_BS_PER_AGGREGATOR, DEFAULT_LOAD_FRACTION
+from .defaults import DEFAULT_LOAD_FRACTION
 from .errors import ScenarioError
 from .heuristics import HeuristicConfig, PlacementResult, place
 from .model import Scenario, with_requests
-from .topology import average_bs_cloud_hops, build_topology
-from .workload import generate_workload, link_params_from
+from .topology import average_bs_cloud_hops
+from .workload import make_scenario
 
 #: modeled milliseconds per unit of deterministic placement work
 MS_PER_WORK_UNIT = 1e-3
@@ -35,16 +35,12 @@ class RunReport:
     files: list          # emitted CSV paths
 
 
-#: `generate_workload` settings a scenario's params may carry; the
-#: generator's own defaults fill the ones it lacks
-_WORKLOAD_KEYS = ("bs_per_aggregator", "backhaul_gbps", "packet_size_bytes",
-                  "volume_packets", "holding_time")
-
-
 def scenario_for_clouds(base_scenario: Scenario, n_clouds: int,
                         load_fraction: float | None = None) -> Scenario:
     """Same fleet and workload model, different cloud count (and
-    optionally a different target load)."""
+    optionally a different target load): `make_scenario` over the base's
+    params, keeping the base's VM catalog, classes, cost threshold and
+    resource cap."""
     params = dict(base_scenario.params)
     if "n_bs" not in params:
         raise ScenarioError("scenario params lack the generator settings "
@@ -52,16 +48,11 @@ def scenario_for_clouds(base_scenario: Scenario, n_clouds: int,
     load = (params.get("load_fraction", DEFAULT_LOAD_FRACTION)
             if load_fraction is None else load_fraction)
     params["load_fraction"] = load
-    settings = {k: params[k] for k in _WORKLOAD_KEYS if k in params}
-    topology = build_topology(
-        params["n_bs"], n_clouds,
-        settings.get("bs_per_aggregator", DEFAULT_BS_PER_AGGREGATOR),
-        link_params_from(params))
-    requests = generate_workload(
-        params["n_bs"], len(base_scenario.requests),
-        seed=params.get("seed", 0), load_fraction=load, **settings)
-    return replace(base_scenario, topology=topology, requests=requests,
-                   params=params)
+    built = make_scenario(params["n_bs"], n_clouds,
+                          len(base_scenario.requests), load_fraction=load,
+                          seed=params.get("seed", 0), params=params)
+    return replace(base_scenario, topology=built.topology,
+                   requests=built.requests, params=params)
 
 
 def run_sweep(base_scenario: Scenario, cloud_range, load_fraction: float,

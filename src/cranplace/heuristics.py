@@ -10,9 +10,8 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
-from .defaults import DEFAULT_PARAMS
 from .errors import ScenarioError
-from .migration import MigrationParams, try_migrate_for_fit
+from .migration import try_migrate_for_fit
 from .model import CapacityVector, Scenario, VmType, capacity_fits
 from .paths import build_sorted_lists, refresh_one
 from .state import (Allocation, DelayBreakdown, PlacementState, can_launch,
@@ -29,6 +28,9 @@ SA_KINDS = (SA_SHORT, SA_LONG)
 ALL_KINDS = BNB_KINDS + SA_KINDS
 
 _EPS = 1e-9
+
+#: instances the SA random-fit scan probes from its random offset
+_SA_PROBE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,7 @@ class _Run:
     def __init__(self, scenario: Scenario, config: HeuristicConfig):
         self.scenario = scenario
         self.config = config
-        params = {**DEFAULT_PARAMS, **scenario.params}
         self.degradation = scenario.degradation_fraction
-        self.packet_size = params["packet_size_bytes"]
-        self.mig_params = MigrationParams(
-            overhead=params["migration_overhead_s"],
-            page_size=params["migration_page_bytes"],
-            link_speed=params["migration_link_speed_bps"],
-            image_bytes=params["migration_image_bytes"])
-        self.eviction_limit = params["migration_eviction_limit"]
-        self.target_limit = params["migration_target_limit"]
         self.state = PlacementState(scenario)
         self.lists = build_sorted_lists(scenario.topology, scenario.k_paths)
         self.catalog = sorted(scenario.vm_catalog,
@@ -115,7 +108,6 @@ class _Run:
         self.launch_order: dict[str, list[int]] = {}
         self.first_drop_index: int | None = None
         self.breakdown: dict[int, DelayBreakdown] = {}
-        self.sa_probe_limit = 8
         self.work = 0
 
     def _launch(self, cloud, vm):
@@ -168,7 +160,7 @@ class _Run:
             if not lst:
                 return None
             start = self.rng.randrange(len(lst))
-            for j in range(min(len(lst), self.sa_probe_limit)):
+            for j in range(min(len(lst), _SA_PROBE_LIMIT)):
                 self.work += 1
                 inst = self.state.instances[lst[(start + j) % len(lst)][1]]
                 if capacity_fits(demand, inst.residual, self.degradation):
@@ -219,17 +211,28 @@ class _Run:
         bd.link_delay = link_d
         bd.compute_delay = comp_d
 
-    def _main_admit_on_entry(self, request, entry, demand):
-        """Admission attempt on one path entry of the main state."""
-        if self._entry_feasible(self.state, request, entry) is None:
-            return None
-        inst = self._pick_instance(entry.cloud, demand)
-        if inst is None:
-            vm = self._launchable_vm(self.state, entry.cloud, demand)
-            if vm is None:
-                return None
-            inst = self._launch(entry.cloud, vm)
-        return self._commit(request, entry, inst)
+    def _first_fit(self, request, entries, demand, launchable):
+        """Admit `request` on the first of `entries` that passes the screen
+        and has an instance from `_pick_instance` or a launchable VM type.
+        `launchable` maps a cloud to its `_launchable_vm` result and is
+        filled on first use; nothing changes the state before the commit,
+        so what it holds stays true for the whole pass."""
+        state = self.state
+        for entry in entries:
+            if self._entry_feasible(state, request, entry) is None:
+                continue
+            cloud = entry.cloud
+            inst = self._pick_instance(cloud, demand)
+            if inst is None:
+                if cloud not in launchable:
+                    launchable[cloud] = self._launchable_vm(state, cloud,
+                                                            demand)
+                vm = launchable[cloud]
+                if vm is None:
+                    continue
+                inst = self._launch(cloud, vm)
+            return self._commit(request, entry, inst)
+        return None
 
     # -- policy used inside migration trials --------------------------------
 
@@ -282,12 +285,9 @@ class _Run:
         self.work += sum(len(e.links) for e in entries)
         refresh_one(self.lists, self.lists.first_hop_of[request.origin],
                     self.state.link_load)
-        demand = self.state.demand(request)
-        for entry in self.lists.list_for_bs(request.origin):
-            alloc = self._main_admit_on_entry(request, entry, demand)
-            if alloc is not None:
-                return alloc
-        return None
+        return self._first_fit(request,
+                               self.lists.list_for_bs(request.origin),
+                               self.state.demand(request), {})
 
     def _place_sa_request(self, request, draws):
         """Best-of-Y sampling: draw candidate (path, VM-slot) tuples
@@ -357,23 +357,8 @@ class _Run:
             return self._commit(request, entry,
                                 self._launch(cloud, launchable[cloud]))
         # sampling found nothing workable; fall back to a plain pass over
-        # the entry list before giving up on the request. Nothing changes
-        # the state before a commit, so the map still holds.
-        for entry in entries:
-            if self._entry_feasible(state, request, entry) is None:
-                continue
-            cloud = entry.cloud
-            inst = self._pick_instance(cloud, demand)
-            if inst is None:
-                if cloud not in launchable:
-                    launchable[cloud] = self._launchable_vm(state, cloud,
-                                                            demand)
-                vm = launchable[cloud]
-                if vm is None:
-                    continue
-                inst = self._launch(cloud, vm)
-            return self._commit(request, entry, inst)
-        return None
+        # the entry list, sharing the map, before giving up on the request
+        return self._first_fit(request, entries, demand, launchable)
 
     # -- run loop -----------------------------------------------------------
 
@@ -408,8 +393,7 @@ class _Run:
                 first_id = self.state._next_instance_id
                 _, ok, _ = try_migrate_for_fit(
                     self.state, request, self.lists, self.trial_admitter,
-                    self.mig_params, self.packet_size, self.eviction_limit,
-                    events, self.target_limit)
+                    events)
                 if ok:
                     self._note_launches(first_id)
                     alloc = self.state.allocations[request.id]
@@ -453,22 +437,9 @@ class _Run:
         )
 
 
-def place_bnb(scenario: Scenario, config: HeuristicConfig) -> PlacementResult:
-    """Branch-and-bound style first-fit scan over delay-sorted path lists
-    with plain / ascending / descending VM-instance ordering."""
-    if config.kind not in BNB_KINDS:
-        raise ScenarioError(f"{config.kind!r} is not a BnB variant")
-    return _Run(scenario, config).run()
-
-
-def place_sa(scenario: Scenario, config: HeuristicConfig) -> PlacementResult:
-    """Best-of-Y random candidate sampling per request."""
-    if config.kind not in SA_KINDS:
-        raise ScenarioError(f"{config.kind!r} is not an SA variant")
-    return _Run(scenario, config).run()
-
-
 def place(scenario: Scenario, config: HeuristicConfig) -> PlacementResult:
-    if config.kind in BNB_KINDS:
-        return place_bnb(scenario, config)
-    return place_sa(scenario, config)
+    """Place the scenario's requests with the heuristic `config` names:
+    a branch-and-bound style first-fit scan over delay-sorted path lists
+    with plain / ascending / descending VM-instance ordering, or best-of-Y
+    random candidate sampling per request."""
+    return _Run(scenario, config).run()

@@ -26,6 +26,27 @@ def _positive(x) -> bool:
     return 0 < x < math.inf
 
 
+def check_number(name: str, value, nonnegative: bool = False) -> None:
+    """A `ScenarioError` naming `name` unless `value` is a finite number
+    above 0, or at least 0 when `nonnegative`. A bool, a string or a list
+    is no number: arithmetic on it would raise or mislead mid-run."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not (0 <= value < math.inf if nonnegative
+                    else 0 < value < math.inf)):
+        raise ScenarioError(f"{name} must be a finite "
+                            f"{'non-negative' if nonnegative else 'positive'}"
+                            f" number, not {value!r}")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """A `ScenarioError` naming `name` unless `value` is an integer of at
+    least `least`: a bool, a float or a string would be taken as 1, slice
+    wrongly or raise mid-run."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ScenarioError(f"{name} must be an integer >= {least}, not "
+                            f"{value!r}")
+
+
 class CapacityVector(NamedTuple):
     """3D resource triple: vCPUs, storage (GB), network (Gbps). The
     arithmetic checks nothing: `Node`, `VmType` and `ServiceClass` reject a
@@ -60,10 +81,6 @@ class CapacityVector(NamedTuple):
 
     def is_zero(self) -> bool:
         return self.cpu == 0 and self.storage == 0 and self.network == 0
-
-    @staticmethod
-    def zero() -> "CapacityVector":
-        return CapacityVector(0.0, 0.0, 0.0)
 
 
 def capacity_fits(demand: CapacityVector, residual: CapacityVector,
@@ -243,30 +260,25 @@ class Scenario:
             raise ScenarioError("cost_threshold must be positive")
         if not 0.0 <= self.degradation_fraction < 1.0:
             raise ScenarioError("degradation_fraction must be in [0, 1)")
-        # a slice bound and a count: a bool, a float or a string would
-        # be taken as 1 or raise mid-run
-        if isinstance(self.k_paths, bool) or not isinstance(
-                self.k_paths, int) or self.k_paths < 1:
-            raise ScenarioError(f"k_paths must be an integer >= 1, not "
-                                f"{self.k_paths!r}")
+        check_count("k_paths", self.k_paths, 1)
         if not self.resource_cap_total >= 0:
             raise ScenarioError("resource_cap_total must be non-negative")
         for name in ("migration_eviction_limit", "migration_target_limit"):
-            limit = self.params.get(name)
-            # a slice bound: None is no limit, and a bool, a float, a string
-            # or a negative count would slice wrongly or raise mid-run
-            if limit is not None and (isinstance(limit, bool) or not
-                                      isinstance(limit, int) or limit < 0):
-                raise ScenarioError(f"{name} must be a non-negative integer "
-                                    f"or null, not {limit!r}")
+            limit = self.setting(name)
+            if limit is not None:   # None is no limit
+                check_count(name, limit, 0)
+        for name in ("packet_size_bytes", "migration_page_bytes",
+                     "migration_image_bytes", "migration_link_speed_bps"):
+            check_number(name, self.setting(name))
+        check_number("migration_overhead_s",
+                     self.setting("migration_overhead_s"), nonnegative=True)
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}
         if len(self._requests) != len(self.requests):
             raise ScenarioError("request ids must be unique")
         # link rates are converted at this size, request rates at their own
-        packet_size = self.params.get("packet_size_bytes",
-                                      defaults.DEFAULT_PACKET_SIZE_BYTES)
+        packet_size = self.setting("packet_size_bytes")
         for r in self.requests:
             if r.packet_size_bytes != packet_size:
                 raise ScenarioError(f"request {r.id}: packet size "
@@ -279,6 +291,11 @@ class Scenario:
             if origin is None or origin.kind != BASE_STATION:
                 raise ScenarioError(f"request {r.id}: origin {r.origin!r} is "
                                     "not a base station")
+
+    def setting(self, name: str):
+        """The run setting `name`: the scenario's own value, else the
+        shipped one in `defaults.DEFAULT_PARAMS`."""
+        return self.params.get(name, defaults.DEFAULT_PARAMS[name])
 
     def service_class(self, name: str) -> ServiceClass:
         try:

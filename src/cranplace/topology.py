@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from . import defaults
 from .errors import ScenarioError
 from .model import (BASE_STATION, CLOUD, ROUTER, CapacityVector, Link, Node,
-                    Topology)
+                    Topology, check_count, check_number)
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,13 @@ class LinkParams:
         default_factory=lambda: CapacityVector(
             *defaults.DEFAULT_CLOUD_CAPACITY_TOTAL))
     cloud_service_rate_total: float = defaults.DEFAULT_CLOUD_RATE_TOTAL
-    max_core_routers: int | None = None
+
+    def __post_init__(self):
+        for name in ("backhaul_gbps", "bs_link_gbps", "chain_gbps",
+                     "packet_size_bytes", "cloud_service_rate_total"):
+            check_number(name, getattr(self, name))
+        for amount in self.cloud_capacity_total:
+            check_number("cloud_capacity_total", amount)
 
     def mu_for(self, gbps: float) -> float:
         return gbps * 1e9 / (self.packet_size_bytes * 8.0)
@@ -67,13 +73,10 @@ def build_topology(n_bs: int, n_clouds: int, bs_per_aggregator: int,
     BS access links are flagged ignore_load: only the aggregation and core
     segments are modeled as M/D/1 queues.
     """
-    if n_bs < 1 or n_clouds < 1 or bs_per_aggregator < 1:
-        raise ScenarioError("n_bs, n_clouds and bs_per_aggregator must be "
-                            ">= 1")
+    check_count("n_bs", n_bs, 1)
+    check_count("n_clouds", n_clouds, 1)
+    check_count("bs_per_aggregator", bs_per_aggregator, 1)
     p = link_params or LinkParams()
-    if p.max_core_routers is not None and n_clouds > p.max_core_routers:
-        raise ScenarioError(f"{n_clouds} clouds exceed the core-router "
-                            f"budget of {p.max_core_routers}")
 
     n_agg = math.ceil(n_bs / bs_per_aggregator)
     g = group_size(n_bs, n_clouds)

@@ -10,7 +10,7 @@ from . import defaults
 from .errors import ScenarioError
 from .model import (DEFAULT_CLASS_NAMES, DEFAULT_CLASSES,
                     DEFAULT_VM_CATALOG, CapacityVector, Scenario,
-                    ServiceRequest)
+                    ServiceRequest, check_count, check_number)
 from .topology import LinkParams, bs_node_id, build_topology
 
 
@@ -31,9 +31,16 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     request carries volume * packet_size bits, so the per-link request rate
     must be load * capacity / that payload.
     """
-    if n_bs < 1 or n_requests < 1:
-        raise ScenarioError("n_bs and n_requests must be >= 1")
-    if not 0.0 < load_fraction < 1.0:
+    check_count("n_bs", n_bs, 1)
+    check_count("n_requests", n_requests, 1)
+    check_count("bs_per_aggregator", bs_per_aggregator, 1)
+    for name, value in (("backhaul_gbps", backhaul_gbps),
+                        ("packet_size_bytes", packet_size_bytes),
+                        ("volume_packets", volume_packets),
+                        ("holding_time", holding_time)):
+        check_number(name, value)
+    check_number("load_fraction", load_fraction)
+    if not load_fraction < 1.0:
         raise ScenarioError("load_fraction must be in (0, 1)")
     names = list(class_names) if class_names is not None \
         else list(DEFAULT_CLASS_NAMES)
@@ -72,8 +79,11 @@ def link_params_from(params: dict) -> LinkParams:
     kwargs = {k: params[k] for k in _LINK_PARAM_KEYS if k in params}
     cap = params.get("cloud_capacity_total")
     if cap is not None:
-        kwargs["cloud_capacity_total"] = (
-            cap if isinstance(cap, CapacityVector) else CapacityVector(*cap))
+        # unpacking would pad a shorter list with zeros
+        if not isinstance(cap, (list, tuple)) or len(cap) != 3:
+            raise ScenarioError("cloud_capacity_total must be a [cpu, "
+                                f"storage, network] list, not {cap!r}")
+        kwargs["cloud_capacity_total"] = CapacityVector(*cap)
     return LinkParams(**kwargs)
 
 

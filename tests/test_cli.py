@@ -143,6 +143,43 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "migration_eviction_limit" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["place", "--heuristic", "bnb"], ["compare", "--axis", "1,2"]])
+    @pytest.mark.parametrize("name,value", [
+        ("migration_page_bytes", "x"), ("migration_link_speed_bps", [1])])
+    def test_malformed_migration_setting_is_two(self, tmp_path, capsys,
+                                                command, name, value):
+        data = scenario_to_dict(micro_scenario(2))
+        data["params"][name] = value
+        path = tmp_path / "setting.json"
+        path.write_text(json.dumps(data))
+        rc = main([command[0], "--scenario", str(path)] + command[1:]
+                  + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert name in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,value", [
+        ("chain_gbps", "x"), ("backhaul_gbps", "x"), ("n_bs", "8"),
+        ("volume_packets", "x"),
+        ("cloud_capacity_total", [24000.0, 90000.0, 12000.0, 1.0]),
+        ("cloud_capacity_total", [24000.0])])
+    def test_malformed_generator_setting_is_two(self, tmp_path, capsys,
+                                                name, value):
+        scen = tmp_path / "sweep_in.json"
+        main(["generate", "--bs", "8", "--clouds", "2", "--requests", "30",
+              "--seed", "3", "--out", str(scen)])
+        data = json.loads(scen.read_text())
+        data["params"][name] = value
+        scen.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(["sweep", "--scenario", str(scen), "--clouds", "2..3",
+                   "--load", "0.5", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert name in captured.err and "Traceback" not in captured.err
+        assert "optimal_clouds" not in captured.out
+
     @pytest.mark.parametrize("k", ["1.5", "1e400", "true"])
     def test_k_paths_that_is_no_count_is_two(self, tmp_path, capsys, k):
         text = json.dumps(scenario_to_dict(micro_scenario(2)))

@@ -5,8 +5,8 @@ from dataclasses import replace
 
 import cranplace
 from cranplace.defaults import DEFAULT_PARAMS
-from cranplace.heuristics import HeuristicConfig, _Run
-from cranplace.migration import MigrationParams
+from cranplace.migration import intercloud_link_speed, migration_time
+from cranplace.state import PlacementState
 from cranplace.topology import LinkParams
 from cranplace.workload import link_params_from
 
@@ -15,22 +15,26 @@ def test_link_params_agree_with_an_empty_params_block():
     assert LinkParams() == link_params_from({})
 
 
-def test_migration_params_agree_with_default_params():
-    p = MigrationParams()
-    assert (p.overhead, p.page_size, p.link_speed, p.image_bytes) == (
-        DEFAULT_PARAMS["migration_overhead_s"],
-        DEFAULT_PARAMS["migration_page_bytes"],
-        DEFAULT_PARAMS["migration_link_speed_bps"],
-        DEFAULT_PARAMS["migration_image_bytes"])
+def test_a_scenario_without_params_reads_the_defaults(tiny_scenario):
+    bare = replace(tiny_scenario, params={})
+    assert {name: bare.setting(name) for name in DEFAULT_PARAMS} \
+        == DEFAULT_PARAMS
+    own = replace(tiny_scenario, params={"migration_target_limit": None})
+    assert own.setting("migration_target_limit") is None
+    assert own.setting("migration_eviction_limit") \
+        == DEFAULT_PARAMS["migration_eviction_limit"]
 
 
-def test_a_run_without_params_reads_the_defaults(tiny_scenario):
-    run = _Run(replace(tiny_scenario, params={}),
-               HeuristicConfig("bnb_plain"))
-    assert run.mig_params == MigrationParams()
-    assert run.packet_size == DEFAULT_PARAMS["packet_size_bytes"]
-    assert run.eviction_limit == DEFAULT_PARAMS["migration_eviction_limit"]
-    assert run.target_limit == DEFAULT_PARAMS["migration_target_limit"]
+def test_migration_without_params_uses_the_default_values(tiny_scenario):
+    bare = replace(tiny_scenario, params={})
+    overhead = DEFAULT_PARAMS["migration_overhead_s"]
+    page = DEFAULT_PARAMS["migration_page_bytes"]
+    assert migration_time(bare, 1e6, 1e9) == \
+        overhead + (5.0 * 1e6 - page) * 8.0 / 1e9
+    # moving within a cloud uses the fallback link speed
+    state = PlacementState(bare)
+    assert intercloud_link_speed(state, "cloud0", "cloud0", {}) == \
+        DEFAULT_PARAMS["migration_link_speed_bps"]
 
 
 def test_every_public_name_resolves():

@@ -13,8 +13,7 @@ from cranplace.errors import ScenarioError
 from cranplace.exact import evaluate_constraints
 from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, BNB_SORTED_ASC,
                                   BNB_SORTED_DESC, SA_KINDS, HeuristicConfig,
-                                  _Run, fit_floor, place, place_bnb,
-                                  place_sa, sa_iterations)
+                                  _Run, fit_floor, place, sa_iterations)
 from cranplace.model import CapacityVector, VmType, capacity_fits
 from cranplace.state import PlacementState, residual_key
 from cranplace.workload import make_scenario
@@ -65,12 +64,6 @@ class TestConfig:
             per_pair = Counter((e.nodes[0], e.cloud)
                                for e in run.lists.paths_by_id.values())
             assert max(per_pair.values()) <= k
-
-    def test_dispatch_guards(self, easy_scenario):
-        with pytest.raises(ScenarioError):
-            place_bnb(easy_scenario, HeuristicConfig("sa_short"))
-        with pytest.raises(ScenarioError):
-            place_sa(easy_scenario, HeuristicConfig("bnb_plain"))
 
 
 class TestSaIterations:

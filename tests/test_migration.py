@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -5,10 +6,9 @@ import pytest
 
 from cranplace.defaults import DEFAULT_PARAMS
 from cranplace.errors import ScenarioError
-from cranplace.heuristics import HeuristicConfig, _Run, place
-from cranplace.migration import (MigrationParams, evictee_order,
-                                 intercloud_link_speed, migration_time,
-                                 try_migrate_for_fit)
+from cranplace.heuristics import HeuristicConfig, place
+from cranplace.migration import (evictee_order, intercloud_link_speed,
+                                 migration_time, try_migrate_for_fit)
 from cranplace.model import (CapacityVector, Scenario, ServiceRequest,
                              capacity_fits, demand_of)
 from cranplace.paths import build_sorted_lists
@@ -19,38 +19,7 @@ from cranplace.workload import make_scenario
 from cranplace.model import DEFAULT_CLASSES, DEFAULT_VM_CATALOG
 
 
-class TestMigrationTime:
-    def test_formula(self):
-        p = MigrationParams(overhead=0.5, page_size=4096.0, link_speed=1e9)
-        size = 2.0 ** 20
-        want = 0.5 + (5.0 * size - 4096.0) * 8.0 / 1e9
-        assert migration_time(size, p) == pytest.approx(want)
-
-    def test_explicit_speed_overrides_default(self):
-        p = MigrationParams(overhead=0.0, link_speed=1e9)
-        slow = migration_time(1e6, p)
-        fast = migration_time(1e6, p, link_speed=1e10)
-        assert fast == pytest.approx(slow / 10.0)
-
-    def test_monotone_in_size(self):
-        p = MigrationParams()
-        assert migration_time(2e6, p) > migration_time(1e6, p)
-
-    def test_sub_page_rejected(self):
-        p = MigrationParams(page_size=4096.0)
-        with pytest.raises(ValueError):
-            migration_time(100.0, p)
-
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            MigrationParams(overhead=-1.0)
-        with pytest.raises(ValueError):
-            MigrationParams(page_size=0.0)
-        with pytest.raises(ValueError):
-            MigrationParams(image_bytes=0.0)
-
-
-def _two_cloud_scenario(requests):
+def _two_cloud_scenario(requests, **params):
     lp = LinkParams(backhaul_gbps=40.0,
                     cloud_capacity_total=CapacityVector(400.0, 300.0, 200.0),
                     cloud_service_rate_total=1.2e8)
@@ -61,7 +30,55 @@ def _two_cloud_scenario(requests):
                     requests=requests, cost_threshold=10000.0,
                     degradation_fraction=0.2, k_paths=2,
                     resource_cap_total=50000.0,
-                    params={"packet_size_bytes": 500.0})
+                    params={"packet_size_bytes": 500.0, **params})
+
+
+class TestMigrationTime:
+    def test_formula(self):
+        scenario = _two_cloud_scenario([], migration_overhead_s=0.5,
+                                       migration_page_bytes=4096.0)
+        size = 2.0 ** 20
+        want = 0.5 + (5.0 * size - 4096.0) * 8.0 / 1e9
+        assert migration_time(scenario, size, 1e9) == pytest.approx(want)
+
+    def test_faster_link_takes_less_time(self):
+        scenario = _two_cloud_scenario([], migration_overhead_s=0.0)
+        slow = migration_time(scenario, 1e6, 1e9)
+        fast = migration_time(scenario, 1e6, 1e10)
+        assert fast == pytest.approx(slow / 10.0)
+
+    def test_monotone_in_size(self):
+        scenario = _two_cloud_scenario([])
+        assert migration_time(scenario, 2e6, 1e9) > \
+            migration_time(scenario, 1e6, 1e9)
+
+    def test_sub_page_rejected(self):
+        scenario = _two_cloud_scenario([], migration_page_bytes=4096.0)
+        with pytest.raises(ValueError):
+            migration_time(scenario, 100.0, 1e9)
+
+
+class TestMigrationSettings:
+    @pytest.mark.parametrize("name", [
+        "packet_size_bytes", "migration_page_bytes", "migration_image_bytes",
+        "migration_link_speed_bps", "migration_overhead_s"])
+    @pytest.mark.parametrize("value", [
+        "x", "4096", [1], True, math.nan, math.inf, -1.0])
+    def test_a_setting_that_is_no_finite_number_is_rejected(self, name,
+                                                            value):
+        with pytest.raises(ScenarioError, match=name):
+            _two_cloud_scenario([], **{name: value})
+
+    @pytest.mark.parametrize("name", [
+        "packet_size_bytes", "migration_page_bytes", "migration_image_bytes",
+        "migration_link_speed_bps"])
+    def test_a_size_or_speed_of_zero_is_rejected(self, name):
+        with pytest.raises(ScenarioError, match=name):
+            _two_cloud_scenario([], **{name: 0.0})
+
+    def test_zero_overhead_is_accepted(self):
+        scenario = _two_cloud_scenario([], migration_overhead_s=0)
+        assert scenario.setting("migration_overhead_s") == 0
 
 
 def _req(i, origin, cls, volume=1000.0):
@@ -108,12 +125,12 @@ def _seed_state(scenario, lists, placements):
 
 
 class TestTryMigrateForFit:
-    def _success_setup(self):
+    def _success_setup(self, **params):
         # cloud0's only VM is blocked by a small tenant; cloud1 is empty,
         # so relocating the tenant frees room for the bigger newcomer
         victim = _req(0, "bs0", "physical")
         newcomer = _req(1, "bs0", "mac_lower")
-        scenario = _two_cloud_scenario([victim, newcomer])
+        scenario = _two_cloud_scenario([victim, newcomer], **params)
         lists = build_sorted_lists(scenario.topology, scenario.k_paths)
         state = _seed_state(scenario, lists, [(victim, "cloud0")])
         return scenario, lists, state, newcomer
@@ -155,19 +172,19 @@ class TestTryMigrateForFit:
         assert events == []
 
     def test_eviction_limit_zero_blocks_relocation(self):
-        scenario, lists, state, newcomer = self._success_setup()
+        scenario, lists, state, newcomer = self._success_setup(
+            migration_eviction_limit=0)
         admitter = _first_fit_admitter(scenario, lists)
-        moved, ok, _ = try_migrate_for_fit(state, newcomer, lists, admitter,
-                                           eviction_limit=0)
+        moved, ok, _ = try_migrate_for_fit(state, newcomer, lists, admitter)
         assert not ok and moved == 0
 
     def test_target_limit_restricts_clouds_tried(self):
-        scenario, lists, state, newcomer = self._success_setup()
+        scenario, lists, state, newcomer = self._success_setup(
+            migration_target_limit=1)
         admitter = _first_fit_admitter(scenario, lists)
         # with only the nearest cloud allowed the relocation still works
         # (the victim sits exactly there)
-        moved, ok, _ = try_migrate_for_fit(state, newcomer, lists, admitter,
-                                           target_limit=1)
+        moved, ok, _ = try_migrate_for_fit(state, newcomer, lists, admitter)
         assert ok and moved == 1
 
 
@@ -182,31 +199,42 @@ class TestMigrationLimits:
 
     @pytest.mark.parametrize("value", [None, 0, 4])
     def test_none_or_a_count_is_accepted(self, value):
-        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")])
-        params = {**scenario.params, "migration_eviction_limit": value,
-                  "migration_target_limit": value}
-        run = _Run(replace(scenario, params=params),
-                   HeuristicConfig("bnb_plain"))
-        assert run.eviction_limit == run.target_limit == value
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")],
+                                       migration_eviction_limit=value,
+                                       migration_target_limit=value)
+        assert scenario.setting("migration_eviction_limit") == \
+            scenario.setting("migration_target_limit") == value
+
+    @staticmethod
+    def _evict_all(n_tenants, volume, **limits):
+        """`try_migrate_for_fit`'s (moved, success) when `n_tenants`
+        physical tenants of `volume` share cloud0's only VM and only moving
+        all of them frees room for the newcomer: cloud1 has room for one
+        VM, which takes the tenants but not the newcomer."""
+        tenants = [_req(i, "bs0", "physical", volume=volume)
+                   for i in range(n_tenants)]
+        newcomer = _req(n_tenants, "bs0", "mac_lower", volume=1400.0)
+        scenario = _two_cloud_scenario(tenants + [newcomer], **limits)
+        lists = build_sorted_lists(scenario.topology, scenario.k_paths)
+        state = _seed_state(scenario, lists, [(t, "cloud0") for t in tenants])
+        return try_migrate_for_fit(state, newcomer, lists,
+                                   _first_fit_admitter(scenario, lists))[:2]
 
     def test_no_limit_tries_every_evictee(self):
         # five tenants of 16 storage share cloud0's VM (122); the newcomer
-        # needs 112, so only moving all five frees room for it, and cloud1
-        # has room for one VM, which takes the tenants but not the newcomer
-        tenants = [_req(i, "bs0", "physical", volume=250.0)
-                   for i in range(5)]
-        newcomer = _req(5, "bs0", "mac_lower", volume=1400.0)
-        scenario = _two_cloud_scenario(tenants + [newcomer])
-        lists = build_sorted_lists(scenario.topology, scenario.k_paths)
-        admitter = _first_fit_admitter(scenario, lists)
-        results = {}
-        for limit in (None, 4):
-            state = _seed_state(scenario, lists,
-                                [(t, "cloud0") for t in tenants])
-            results[limit] = try_migrate_for_fit(
-                state, newcomer, lists, admitter, eviction_limit=limit,
-                target_limit=1)[:2]
-        assert results == {None: (5, True), 4: (0, False)}
+        # needs 112
+        assert self._evict_all(5, 250.0, migration_eviction_limit=None,
+                               migration_target_limit=1) == (5, True)
+        assert self._evict_all(5, 250.0, migration_eviction_limit=4,
+                               migration_target_limit=1) == (0, False)
+
+    def test_a_direct_call_keeps_the_default_limits(self):
+        # seven tenants of 12.8 storage: a scenario without limits gets
+        # the default of 6 evictees, so the seventh stays and the newcomer
+        # (112) still finds no room
+        assert self._evict_all(7, 200.0) == (0, False)
+        assert self._evict_all(7, 200.0,
+                               migration_eviction_limit=None) == (7, True)
 
 
 def _scan_order(state, cloud):
@@ -243,20 +271,18 @@ def test_evictee_order_survives_checkpoint_rollback_cycles(
 
 class TestIntercloudLinkSpeed:
     def test_same_cloud_uses_configured_speed(self):
-        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")])
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")],
+                                       migration_link_speed_bps=3e9)
         state = PlacementState(scenario)
-        p = MigrationParams(link_speed=3e9)
-        assert intercloud_link_speed(state, "cloud0", "cloud0", p,
-                                     500.0, {}) == 3e9
+        assert intercloud_link_speed(state, "cloud0", "cloud0", {}) == 3e9
 
     def test_idle_path_reports_full_bandwidth(self):
-        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")])
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")],
+                                       migration_link_speed_bps=3e9)
         state = PlacementState(scenario)
-        p = MigrationParams(link_speed=3e9)
-        speed = intercloud_link_speed(state, "cloud0", "cloud1", p, 500.0,
-                                      {})
+        speed = intercloud_link_speed(state, "cloud0", "cloud1", {})
         # core links are provisioned far above the fallback speed
-        assert speed > p.link_speed
+        assert speed > 3e9
 
 
 # Criterion 4's scenario at 500 requests with cloud capacity cut to 60%:

@@ -23,7 +23,7 @@ class TestCapacityVector:
         assert not big.covers(CapacityVector(2.0, 2.1, 0.0))
 
     def test_zero_and_nonnegative(self):
-        assert CapacityVector.zero().is_zero()
+        assert CapacityVector().is_zero()
         assert CapacityVector(0.0, 0.0, 0.0).nonnegative()
         assert not CapacityVector(-1e-12, 0.0, 0.0).nonnegative()
 

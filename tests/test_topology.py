@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cranplace.errors import ScenarioError
-from cranplace.model import CLOUD, ROUTER
+from cranplace.model import CLOUD, ROUTER, CapacityVector
 from cranplace.topology import (LinkParams, average_bs_cloud_hops,
                                 bs_node_id, build_topology, chain_depth,
                                 core_attachment, group_size,
@@ -84,8 +84,12 @@ class TestBuildTopology:
     def test_validation(self):
         with pytest.raises(ScenarioError):
             build_topology(0, 1, 1)
-        with pytest.raises(ScenarioError):
-            build_topology(4, 5, 2, LinkParams(max_core_routers=4))
+        with pytest.raises(ScenarioError, match="n_bs"):
+            build_topology("8", 1, 1)
+        with pytest.raises(ScenarioError, match="chain_gbps"):
+            LinkParams(chain_gbps=math.nan)
+        with pytest.raises(ScenarioError, match="cloud_capacity_total"):
+            LinkParams(cloud_capacity_total=CapacityVector(1.0, 0.0, 1.0))
 
 
 class TestHopCounts:
