@@ -9,6 +9,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ScenarioError
 from .migration import try_migrate_for_fit
@@ -91,6 +92,14 @@ def sa_iterations(n_requests: int, mode: str) -> int:
     raise ValueError(f"unknown SA mode {mode!r}")
 
 
+class _Least(NamedTuple):
+    """What `can_launch` reads of a VM type, each the least over a set of
+    types: capacity per component, resource units and hourly cost."""
+    capacity: CapacityVector
+    resource_units: float
+    hourly_cost: float
+
+
 class _Run:
     """Single placement run; owns the state and the launch history."""
 
@@ -109,6 +118,8 @@ class _Run:
         self.first_drop_index: int | None = None
         self.breakdown: dict[int, DelayBreakdown] = {}
         self.work = 0
+        # request id -> its `_fit` summary, for the migration trials
+        self._fits: dict[int, tuple] = {}
 
     def _launch(self, cloud, vm):
         inst = self.state.launch_instance(cloud, vm)
@@ -138,15 +149,12 @@ class _Run:
             return None
         return delays
 
-    def _launchable_vm(self, state, cloud, demand, fitting=None):
+    def _launchable_vm(self, state, cloud, demand):
         """Cheapest VM type the request fits on, launchable at this cloud
-        under the cloud residual, resource cap and cost threshold; taken
-        from `fitting`, the types it fits on in catalog order, if given."""
-        for vm in self.catalog if fitting is None else fitting:
-            if fitting is None and not capacity_fits(
-                    demand, vm.capacity, self.degradation):
-                continue
-            if can_launch(state, cloud, vm):
+        under the cloud residual, resource cap and cost threshold."""
+        for vm in self.catalog:
+            if capacity_fits(demand, vm.capacity, self.degradation) \
+                    and can_launch(state, cloud, vm):
                 return vm
         return None
 
@@ -159,11 +167,21 @@ class _Run:
             lst = self.state.residual_index[cloud]
             if not lst:
                 return None
-            start = self.rng.randrange(len(lst))
-            for j in range(min(len(lst), _SA_PROBE_LIMIT)):
+            n = len(lst)
+            start = self.rng.randrange(n)
+            instances = self.state.instances
+            # capacity_fits(demand, inst.residual, self.degradation),
+            # unrolled
+            keep = 1.0 - self.degradation
+            need_cpu = keep * demand.cpu
+            need_storage = demand.storage
+            need_network = keep * demand.network
+            for j in range(min(n, _SA_PROBE_LIMIT)):
                 self.work += 1
-                inst = self.state.instances[lst[(start + j) % len(lst)][1]]
-                if capacity_fits(demand, inst.residual, self.degradation):
+                inst = instances[lst[(start + j) % n][1]]
+                r = inst.residual
+                if (r.storage >= need_storage and r.cpu >= need_cpu
+                        and r.network >= need_network):
                     return inst
             return None
         if kind == BNB_PLAIN:
@@ -236,36 +254,76 @@ class _Run:
 
     # -- policy used inside migration trials --------------------------------
 
+    def _fit(self, state, request):
+        """What `capacity_fits` asks of a residual for `request` (cpu,
+        storage, network: cpu and network degraded), its `fit_floor`, the
+        VM types it fits on in catalog order, and their `_Least` (None
+        when there is none); computed once per request."""
+        fit = self._fits.get(request.id)
+        if fit is None:
+            demand = state.demand(request)
+            keep = 1.0 - self.degradation
+            fitting = [vm for vm in self.catalog
+                       if capacity_fits(demand, vm.capacity, self.degradation)]
+            least = None
+            if fitting:
+                least = _Least(
+                    CapacityVector(min(vm.capacity.cpu for vm in fitting),
+                                   min(vm.capacity.storage for vm in fitting),
+                                   min(vm.capacity.network for vm in fitting)),
+                    min(vm.resource_units for vm in fitting),
+                    min(vm.hourly_cost for vm in fitting))
+            fit = self._fits[request.id] = (
+                keep * demand.cpu, demand.storage, keep * demand.network,
+                fit_floor(demand, self.degradation), fitting, least)
+        return fit
+
+    def _room(self, state, cloud, fit):
+        """Where the trial policy would put a request with the `_fit`
+        summary `fit` at `cloud` now: the id of the fitting instance with
+        the least total remaining capacity, else the cheapest launchable
+        VM type it fits on, else None."""
+        need_cpu, need_storage, need_network, floor, fitting, least = fit
+        lst = state.residual_index[cloud]
+        instances = state.instances
+        # capacity_fits on each residual from the floor up, unrolled
+        for j in range(bisect_left(lst, (floor, -1)), len(lst)):
+            iid = lst[j][1]
+            r = instances[iid].residual
+            if (r.storage >= need_storage and r.cpu >= need_cpu
+                    and r.network >= need_network):
+                return iid
+        # the cheapest launchable type it fits on; none can launch where
+        # the least of them in every respect cannot
+        if least is None or not can_launch(state, cloud, least):
+            return None
+        for vm in fitting:
+            if can_launch(state, cloud, vm):
+                return vm
+        return None
+
+    def room(self, state, request, cloud):
+        """`trial_admitter`'s room for `request` at `cloud` now (an
+        instance id or a VM type), or None: the room test
+        `try_migrate_for_fit` screens its targets with."""
+        return self._room(state, cloud, self._fit(state, request))
+
     def trial_admitter(self, state, request, exclude_clouds):
         """Ascending best fit: the fitting instance with the least total
         remaining capacity on the first feasible entry, else a new one.
         Commits with `state.admit`, so no delays are recorded mid-trial,
         and leaves the launch history to the caller. Nothing changes
-        before the commit, so each cloud's room (an instance id, a VM type
-        or None) is found once, and only entries on a cloud with room are
-        screened; a skipped screen still counts its work."""
-        demand = state.demand(request)
-        floor = fit_floor(demand, self.degradation)
-        fitting = None
+        before the commit, so each cloud's room (`_room`) is found once,
+        and only entries on a cloud with room are screened; a skipped
+        screen still counts its work."""
+        fit = self._fit(state, request)
         room = {}
         for entry in self.lists.list_for_bs(request.origin):
             cloud = entry.cloud
             if cloud in exclude_clouds:
                 continue
             if cloud not in room:
-                lst = state.residual_index[cloud]
-                for j in range(bisect_left(lst, (floor, -1)), len(lst)):
-                    iid = lst[j][1]
-                    if capacity_fits(demand, state.instances[iid].residual,
-                                     self.degradation):
-                        room[cloud] = iid
-                        break
-                else:
-                    if fitting is None:
-                        fitting = [vm for vm in self.catalog if capacity_fits(
-                            demand, vm.capacity, self.degradation)]
-                    room[cloud] = self._launchable_vm(state, cloud, demand,
-                                                      fitting)
+                room[cloud] = self._room(state, cloud, fit)
             where = room[cloud]
             if where is None:
                 self.work += 1 + len(entry.links)
@@ -393,7 +451,7 @@ class _Run:
                 first_id = self.state._next_instance_id
                 _, ok, _ = try_migrate_for_fit(
                     self.state, request, self.lists, self.trial_admitter,
-                    events)
+                    self.room, events)
                 if ok:
                     self._note_launches(first_id)
                     alloc = self.state.allocations[request.id]

@@ -3,7 +3,10 @@ that frees capacity for otherwise-droppable requests."""
 
 from __future__ import annotations
 
+import math
+
 from .errors import NoPath
+from .model import capacity_fits
 from .paths import k_shortest_paths
 
 
@@ -44,8 +47,11 @@ def intercloud_link_speed(state, src_cloud: str, dst_cloud: str,
         return fallback
     to_gbps = scenario.setting("packet_size_bytes") * 8.0 / 1e9
     link_load = state.link_load
-    residual = min(bw - link_load.get(key, 0.0) * to_gbps
-                   for key, bw in links)
+    residual = math.inf
+    for key, bw in links:
+        left = bw - link_load.get(key, 0.0) * to_gbps
+        if left < residual:
+            residual = left
     if residual <= 0:
         return fallback
     return residual * 1e9
@@ -62,7 +68,32 @@ def evictee_order(state, cloud: str) -> list[int]:
         for rid, c in instances[iid].assigned.items())]
 
 
-def try_migrate_for_fit(state, request, lists, admitter,
+def evictions_cannot_make_room(state, demand, evictee_ids) -> bool:
+    """Whether releasing all of `evictee_ids` would empty none of their
+    instances and leave each of them still too small for `demand`. Each
+    instance is tested with every evictee on it released, summed in
+    eviction order, and with a relative slack of 1e-9 on every component
+    for the rounding of releases made in another order; releasing fewer
+    frees less."""
+    allocations = state.allocations
+    freed: dict[int, list] = {}
+    for rid in evictee_ids:
+        alloc = allocations[rid]
+        freed.setdefault(alloc.instance_id, []).append(alloc.consumed)
+    degradation = state.scenario.degradation_fraction
+    for iid, consumed in freed.items():
+        inst = state.instances[iid]
+        if len(consumed) == len(inst.assigned):
+            return False   # emptied: its retirement frees capacity and cost
+        released = inst.residual
+        for c in consumed:
+            released = released + c
+        if capacity_fits(demand, released.scale(1.0 + 1e-9), degradation):
+            return False
+    return True
+
+
+def try_migrate_for_fit(state, request, lists, admitter, room,
                         events: list | None = None):
     """Free capacity for `request` by relocating already-placed services.
 
@@ -80,6 +111,20 @@ def try_migrate_for_fit(state, request, lists, admitter,
     `admitter(state, request, exclude_clouds)` is the run's placement
     policy; it commits the admission on that state and returns the
     Allocation, or returns None leaving the state untouched.
+    `room(state, request, cloud)` is that policy's own room test: what it
+    would place the request on at `cloud` now, or None when it finds no
+    room there.
+
+    A target is skipped without a trial when the storage screen fails, or
+    when (a) `room` finds no room for the request at any of its clouds,
+    (b) no target instance that hosts evictees would fit the request with
+    all of them released, and (c) the evictions would empty none of those
+    instances. During a trial only the target gains room, and only through
+    its evictees; every other cloud, the resource total and, without a
+    retirement, the live cost only tighten; and a VM launched for an
+    evictee has less room left than a fresh VM of a type that was
+    launchable before. So under (a) to (c) no retry could succeed, and the
+    skip changes nothing but the work not done.
 
     Returns (migration_count, success, state), `state` being the object
     passed in.  When `events` is given it receives one (request_id,
@@ -88,16 +133,17 @@ def try_migrate_for_fit(state, request, lists, admitter,
     """
     scenario = state.scenario
     entries = lists.list_for_bs(request.origin)
-    target_clouds: list[str] = []
+    clouds: list[str] = []
     for e in entries:
-        if e.cloud not in target_clouds:
-            target_clouds.append(e.cloud)
-    target_clouds = target_clouds[:scenario.setting("migration_target_limit")]
+        if e.cloud not in clouds:
+            clouds.append(e.cloud)
+    target_clouds = clouds[:scenario.setting("migration_target_limit")]
     eviction_limit = scenario.setting("migration_eviction_limit")
     demand = state.demand(request)
     # what moves is the service's live state, not its disk footprint
     vm_bytes = max(scenario.setting("migration_page_bytes"),
                    scenario.setting("migration_image_bytes"))
+    no_room = None   # (a), found when first needed
 
     for target in target_clouds:
         evictee_ids = evictee_order(state, target)[:eviction_limit]
@@ -111,6 +157,14 @@ def try_migrate_for_fit(state, request, lists, admitter,
             state.allocations[r].consumed.storage for r in evictee_ids)
         if demand.storage > avail:
             continue
+        if evictions_cannot_make_room(state, demand, evictee_ids):
+            # a failed trial rolls back, so the room found for the first
+            # target holds for the next
+            if no_room is None:
+                no_room = all(room(state, request, cloud) is None
+                              for cloud in clouds)
+            if no_room:
+                continue
         target_mark = state.checkpoint()
         committed = False
         try:

@@ -261,6 +261,10 @@ class Scenario:
         if not 0.0 <= self.degradation_fraction < 1.0:
             raise ScenarioError("degradation_fraction must be in [0, 1)")
         check_count("k_paths", self.k_paths, 1)
+        # the generator's seed, which `compare` and `sweep` also seed the
+        # heuristics with
+        if "seed" in self.params:
+            check_count("seed", self.params["seed"], 0)
         if not self.resource_cap_total >= 0:
             raise ScenarioError("resource_cap_total must be non-negative")
         for name in ("migration_eviction_limit", "migration_target_limit"):

@@ -159,6 +159,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert name in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", [
+        ["compare", "--axis", "1,2"],
+        ["sweep", "--clouds", "2..3", "--load", "0.5"]])
+    @pytest.mark.parametrize("seed", [[1], "abc", 1.5, -1, True])
+    def test_seed_that_is_no_count_is_two(self, tmp_path, capsys, command,
+                                          seed):
+        scen = tmp_path / "seeded.json"
+        main(["generate", "--bs", "8", "--clouds", "2", "--requests", "30",
+              "--seed", "3", "--out", str(scen)])
+        data = json.loads(scen.read_text())
+        data["params"]["seed"] = seed
+        scen.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main([command[0], "--scenario", str(scen)] + command[1:]
+                  + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("name,value", [
         ("chain_gbps", "x"), ("backhaul_gbps", "x"), ("n_bs", "8"),
         ("volume_packets", "x"),

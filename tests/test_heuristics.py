@@ -11,11 +11,12 @@ from hypothesis import strategies as st
 
 from cranplace.errors import ScenarioError
 from cranplace.exact import evaluate_constraints
+from cranplace import heuristics
 from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, BNB_SORTED_ASC,
                                   BNB_SORTED_DESC, SA_KINDS, HeuristicConfig,
                                   _Run, fit_floor, place, sa_iterations)
 from cranplace.model import CapacityVector, VmType, capacity_fits
-from cranplace.state import PlacementState, residual_key
+from cranplace.state import PlacementState, can_launch, residual_key
 from cranplace.workload import make_scenario
 
 from conftest import micro_scenario
@@ -252,10 +253,21 @@ def test_light_stream_outputs_are_pinned(light_scenario, kind, monkeypatch):
             repr(r.total_compute_delay), digest) == LIGHT_OUTPUTS[kind]
 
 
+def _catalog_scan(run, state, cloud, demand):
+    """The cheapest VM type of the run's catalog that `demand` fits on and
+    `cloud` can launch now, tested type by type."""
+    for vm in run.catalog:
+        if capacity_fits(demand, vm.capacity, run.degradation) \
+                and can_launch(state, cloud, vm):
+            return vm
+    return None
+
+
 def _reference_trial_admitter(run, state, request, exclude_clouds):
     """`_Run.trial_admitter` as it was before it found each cloud's room
-    once per call: every non-excluded entry is screened, then its cloud's
-    instances and VM catalog are scanned."""
+    once per call and refused a launch on the least fitting type: every
+    non-excluded entry is screened, then its cloud's instances and the
+    whole VM catalog are scanned."""
     demand = state.demand(request)
     floor = fit_floor(demand, run.degradation)
     for entry in run.lists.list_for_bs(request.origin):
@@ -269,11 +281,21 @@ def _reference_trial_admitter(run, state, request, exclude_clouds):
             if capacity_fits(demand, state.instances[iid].residual,
                              run.degradation):
                 return state.admit(request, iid, entry.id, entry.link_keys)
-        vm = run._launchable_vm(state, entry.cloud, demand)
+        vm = _catalog_scan(run, state, entry.cloud, demand)
         if vm is not None:
             inst = state.launch_instance(entry.cloud, vm)
             return state.admit(request, inst.id, entry.id, entry.link_keys)
     return None
+
+
+#: dearer types are leaner: fewer resource units, and the dearest holds
+#: more storage than the middle one, so a binding cap or cloud residual can
+#: leave only a dear type launchable
+LEAN_CATALOG = [
+    VmType("wide", CapacityVector(64.0, 488.0, 20.0), 1.0),
+    VmType("mid", CapacityVector(16.0, 244.0, 10.0), 2.0),
+    VmType("lean", CapacityVector(8.0, 300.0, 5.0), 4.0),
+]
 
 
 @settings(max_examples=60, deadline=None)
@@ -283,17 +305,22 @@ def _reference_trial_admitter(run, state, request, exclude_clouds):
        storage=st.sampled_from([400.0, 1000.0, 3000.0, 10000.0]),
        volume=st.sampled_from([250.0, 1000.0, 4000.0]),
        cost_threshold=st.sampled_from([5.0, 20.0, 1e4]),
-       resource_cap=st.sampled_from([40.0, 200.0, 5e4]))
+       resource_cap=st.sampled_from([40.0, 200.0, 5e4]),
+       lean=st.booleans())
 def test_trial_admitter_matches_the_screen_every_entry_loop(
         seed, n_bs, n_clouds, n_requests, load, storage, volume,
-        cost_threshold, resource_cap):
+        cost_threshold, resource_cap, lean):
     # small clouds, caps and budgets: about three admissions in four find
-    # no room, and the rest launch or reuse an instance
+    # no room, and the rest launch or reuse an instance; with the lean
+    # catalog the cap and the cloud residual often leave only the dearer
+    # types launchable
     scenario = make_scenario(
         n_bs, n_clouds, n_requests, load_fraction=load, seed=seed,
         cost_threshold=cost_threshold, resource_cap_total=resource_cap,
         params={"cloud_capacity_total": [200.0, storage, 100.0],
                 "volume_packets": volume})
+    if lean:
+        scenario = replace(scenario, vm_catalog=list(LEAN_CATALOG))
     run = _Run(scenario, HeuristicConfig(BNB_SORTED_ASC, seed=seed))
     clouds = [c.id for c in scenario.topology.clouds()]
     rng = random.Random(seed)
@@ -316,3 +343,47 @@ def test_trial_admitter_matches_the_screen_every_entry_loop(
             assert state.signature() == reference.signature()
         if state.allocations and rng.random() < 0.3:
             state.release(rng.choice(sorted(state.allocations)))
+
+
+@pytest.mark.parametrize("block,want", [
+    ("residual", None), ("cap", None), ("cost", None),
+    ("cap", "lean"), ("residual", "lean")])
+def test_trial_launch_test_matches_the_catalog_scan(monkeypatch, block,
+                                                    want):
+    # A request that fits every type of the lean catalog, at a cloud
+    # with no instance. Either the cloud residual, the resource cap or the
+    # cost threshold blocks every type, and the room test refuses on one
+    # `can_launch` of their least; or they block all but the dearest.
+    tight = want is None
+    # resource units: wide 84, mid 26, lean 13
+    cap = {"cap": 10.0 if tight else 20.0}.get(block, 5e4)
+    cost = 0.5 if block == "cost" else 1e4
+    base = micro_scenario(7)
+    scenario = replace(base, vm_catalog=list(LEAN_CATALOG),
+                       cost_threshold=cost, resource_cap_total=cap)
+    run = _Run(scenario, HeuristicConfig(BNB_SORTED_ASC))
+    cloud = scenario.topology.clouds()[0].id
+    state = run.state
+    if block == "residual":
+        # less storage than any type holds, or too few vCPUs for all but
+        # the lean type's 8
+        state.residual_cloud[cloud] = (CapacityVector(1e3, 200.0, 1e3)
+                                       if tight else
+                                       CapacityVector(10.0, 1e3, 1e3))
+    request = scenario.requests[0]
+    demand = state.demand(request)
+    assert all(capacity_fits(demand, vm.capacity, run.degradation)
+               for vm in LEAN_CATALOG)
+    calls = []
+
+    def counted(state, cloud, vm):
+        calls.append(vm)
+        return can_launch(state, cloud, vm)
+
+    monkeypatch.setattr(heuristics, "can_launch", counted)
+    got = run.room(state, request, cloud)
+    assert got == _catalog_scan(run, state, cloud, demand)
+    if tight:
+        assert got is None and len(calls) == 1
+    else:
+        assert got.name == want and len(calls) == 1 + len(LEAN_CATALOG)

@@ -255,6 +255,21 @@ class TestMalformedInput:
         with pytest.raises(ScenarioError, match=name):
             scenario_from_dict(json.loads(json.dumps(data)))
 
+    @pytest.mark.parametrize("seed", [[1], "abc", 1.5, -1, True, None])
+    def test_seed_that_is_no_count_is_rejected(self, tmp_path, seed):
+        data = scenario_to_dict(make_scenario(8, 2, 10, seed=3))
+        data["params"]["seed"] = seed
+        path = tmp_path / "seed.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ScenarioError, match="seed"):
+            load_scenario(str(path))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**70])
+    def test_seed_that_is_a_count_loads(self, seed):
+        data = scenario_to_dict(make_scenario(8, 2, 10, seed=3))
+        data["params"]["seed"] = seed
+        assert scenario_from_dict(data).params["seed"] == seed
+
     def test_bool_field_still_takes_a_bool(self):
         data = scenario_to_dict(micro_scenario(2))
         link = next(d for d in data["topology"]["links"]
