@@ -9,6 +9,7 @@ import random
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ScenarioError
@@ -100,6 +101,41 @@ class _Least(NamedTuple):
     hourly_cost: float
 
 
+class _Fit:
+    """What a run needs to know of one demand: the VM types of `catalog`,
+    which is in cost order, that it fits on, and, when first asked, their
+    least and what `capacity_fits` asks of a residual."""
+
+    def __init__(self, demand, catalog, degradation):
+        self.demand = demand
+        self.degradation = degradation
+        self.fitting = [vm for vm in catalog
+                        if capacity_fits(demand, vm.capacity, degradation)]
+
+    @cached_property
+    def needs(self):
+        """(cpu, storage, network) a residual must hold, cpu and network
+        degraded, and the demand's `fit_floor`."""
+        demand, degradation = self.demand, self.degradation
+        keep = 1.0 - degradation
+        return (keep * demand.cpu, demand.storage, keep * demand.network,
+                fit_floor(demand, degradation))
+
+    @cached_property
+    def least(self):
+        """The least of the fitting types in every respect `can_launch`
+        reads: the cheapest type itself when it is, else a `_Least`."""
+        fitting = self.fitting
+        cheapest = fitting[0]   # the catalog is in cost order
+        least = _Least(
+            CapacityVector(*map(min, zip(*[vm.capacity for vm in fitting]))),
+            min([vm.resource_units for vm in fitting]), cheapest.hourly_cost)
+        if least == (cheapest.capacity, cheapest.resource_units,
+                     cheapest.hourly_cost):
+            return cheapest
+        return least
+
+
 class _Run:
     """Single placement run; owns the state and the launch history."""
 
@@ -118,8 +154,8 @@ class _Run:
         self.first_drop_index: int | None = None
         self.breakdown: dict[int, DelayBreakdown] = {}
         self.work = 0
-        # request id -> its `_fit` summary, for the migration trials
-        self._fits: dict[int, tuple] = {}
+        # demand -> its `_Fit`
+        self._fits: dict[CapacityVector, _Fit] = {}
 
     def _launch(self, cloud, vm):
         inst = self.state.launch_instance(cloud, vm)
@@ -149,12 +185,30 @@ class _Run:
             return None
         return delays
 
-    def _launchable_vm(self, state, cloud, demand):
-        """Cheapest VM type the request fits on, launchable at this cloud
-        under the cloud residual, resource cap and cost threshold."""
-        for vm in self.catalog:
-            if capacity_fits(demand, vm.capacity, self.degradation) \
-                    and can_launch(state, cloud, vm):
+    def _fit(self, demand):
+        """The `_Fit` of `demand`, made once per distinct demand, of which
+        a generated stream has one per service class."""
+        fit = self._fits.get(demand)
+        if fit is None:
+            fit = self._fits[demand] = _Fit(demand, self.catalog,
+                                            self.degradation)
+        return fit
+
+    def _launchable_vm(self, state, cloud, fit):
+        """Cheapest VM type of `fit.fitting` launchable at this cloud under
+        the cloud residual, resource cap and cost threshold. When the
+        cheapest cannot launch, none can where their least in every
+        respect cannot, so one more `can_launch` refuses most clouds."""
+        fitting = fit.fitting
+        if not fitting:
+            return None
+        if can_launch(state, cloud, fitting[0]):
+            return fitting[0]
+        least = fit.least
+        if least is fitting[0] or not can_launch(state, cloud, least):
+            return None
+        for vm in fitting[1:]:
+            if can_launch(state, cloud, vm):
                 return vm
         return None
 
@@ -167,21 +221,11 @@ class _Run:
             lst = self.state.residual_index[cloud]
             if not lst:
                 return None
-            n = len(lst)
-            start = self.rng.randrange(n)
-            instances = self.state.instances
-            # capacity_fits(demand, inst.residual, self.degradation),
-            # unrolled
-            keep = 1.0 - self.degradation
-            need_cpu = keep * demand.cpu
-            need_storage = demand.storage
-            need_network = keep * demand.network
-            for j in range(min(n, _SA_PROBE_LIMIT)):
+            start = self.rng.randrange(len(lst))
+            for j in range(min(len(lst), _SA_PROBE_LIMIT)):
                 self.work += 1
-                inst = instances[lst[(start + j) % n][1]]
-                r = inst.residual
-                if (r.storage >= need_storage and r.cpu >= need_cpu
-                        and r.network >= need_network):
+                inst = self.state.instances[lst[(start + j) % len(lst)][1]]
+                if capacity_fits(demand, inst.residual, self.degradation):
                     return inst
             return None
         if kind == BNB_PLAIN:
@@ -243,8 +287,8 @@ class _Run:
             inst = self._pick_instance(cloud, demand)
             if inst is None:
                 if cloud not in launchable:
-                    launchable[cloud] = self._launchable_vm(state, cloud,
-                                                            demand)
+                    launchable[cloud] = self._launchable_vm(
+                        state, cloud, self._fit(demand))
                 vm = launchable[cloud]
                 if vm is None:
                     continue
@@ -254,36 +298,12 @@ class _Run:
 
     # -- policy used inside migration trials --------------------------------
 
-    def _fit(self, state, request):
-        """What `capacity_fits` asks of a residual for `request` (cpu,
-        storage, network: cpu and network degraded), its `fit_floor`, the
-        VM types it fits on in catalog order, and their `_Least` (None
-        when there is none); computed once per request."""
-        fit = self._fits.get(request.id)
-        if fit is None:
-            demand = state.demand(request)
-            keep = 1.0 - self.degradation
-            fitting = [vm for vm in self.catalog
-                       if capacity_fits(demand, vm.capacity, self.degradation)]
-            least = None
-            if fitting:
-                least = _Least(
-                    CapacityVector(min(vm.capacity.cpu for vm in fitting),
-                                   min(vm.capacity.storage for vm in fitting),
-                                   min(vm.capacity.network for vm in fitting)),
-                    min(vm.resource_units for vm in fitting),
-                    min(vm.hourly_cost for vm in fitting))
-            fit = self._fits[request.id] = (
-                keep * demand.cpu, demand.storage, keep * demand.network,
-                fit_floor(demand, self.degradation), fitting, least)
-        return fit
-
     def _room(self, state, cloud, fit):
-        """Where the trial policy would put a request with the `_fit`
-        summary `fit` at `cloud` now: the id of the fitting instance with
-        the least total remaining capacity, else the cheapest launchable
-        VM type it fits on, else None."""
-        need_cpu, need_storage, need_network, floor, fitting, least = fit
+        """Where the trial policy would put a demand with the `_Fit` `fit`
+        at `cloud` now: the id of the fitting instance with the least
+        total remaining capacity, else the cheapest launchable VM type it
+        fits on, else None."""
+        need_cpu, need_storage, need_network, floor = fit.needs
         lst = state.residual_index[cloud]
         instances = state.instances
         # capacity_fits on each residual from the floor up, unrolled
@@ -293,30 +313,23 @@ class _Run:
             if (r.storage >= need_storage and r.cpu >= need_cpu
                     and r.network >= need_network):
                 return iid
-        # the cheapest launchable type it fits on; none can launch where
-        # the least of them in every respect cannot
-        if least is None or not can_launch(state, cloud, least):
-            return None
-        for vm in fitting:
-            if can_launch(state, cloud, vm):
-                return vm
-        return None
+        return self._launchable_vm(state, cloud, fit)
 
     def room(self, state, request, cloud):
-        """`trial_admitter`'s room for `request` at `cloud` now (an
-        instance id or a VM type), or None: the room test
-        `try_migrate_for_fit` screens its targets with."""
-        return self._room(state, cloud, self._fit(state, request))
+        """`admit`'s room for `request` at `cloud` now (an instance id or
+        a VM type), or None: the room test `try_migrate_for_fit` screens
+        its targets with."""
+        return self._room(state, cloud, self._fit(state.demand(request)))
 
-    def trial_admitter(self, state, request, exclude_clouds):
-        """Ascending best fit: the fitting instance with the least total
-        remaining capacity on the first feasible entry, else a new one.
-        Commits with `state.admit`, so no delays are recorded mid-trial,
-        and leaves the launch history to the caller. Nothing changes
-        before the commit, so each cloud's room (`_room`) is found once,
-        and only entries on a cloud with room are screened; a skipped
-        screen still counts its work."""
-        fit = self._fit(state, request)
+    def admit(self, state, request, exclude_clouds):
+        """The trial policy's admission, ascending best fit: the fitting
+        instance with the least total remaining capacity on the first
+        feasible entry, else a new one. Commits with `state.admit`, so no
+        delays are recorded mid-trial, and leaves the launch history to
+        the caller. Nothing changes before the commit, so each cloud's
+        room (`_room`) is found once, and only entries on a cloud with
+        room are screened; a skipped screen still counts its work."""
+        fit = self._fit(state.demand(request))
         room = {}
         for entry in self.lists.list_for_bs(request.origin):
             cloud = entry.cloud
@@ -393,8 +406,8 @@ class _Run:
             else:
                 cloud = entry.cloud
                 if cloud not in launchable:
-                    launchable[cloud] = self._launchable_vm(state, cloud,
-                                                            demand)
+                    launchable[cloud] = self._launchable_vm(
+                        state, cloud, self._fit(demand))
                 if launchable[cloud] is None:
                     continue
                 key = (ei, -1)
@@ -450,8 +463,7 @@ class _Run:
                 events: list[tuple[int, float]] = []
                 first_id = self.state._next_instance_id
                 _, ok, _ = try_migrate_for_fit(
-                    self.state, request, self.lists, self.trial_admitter,
-                    self.room, events)
+                    self.state, request, self.lists, self, events)
                 if ok:
                     self._note_launches(first_id)
                     alloc = self.state.allocations[request.id]

@@ -3,8 +3,6 @@ that frees capacity for otherwise-droppable requests."""
 
 from __future__ import annotations
 
-import math
-
 from .errors import NoPath
 from .model import capacity_fits
 from .paths import k_shortest_paths
@@ -47,11 +45,8 @@ def intercloud_link_speed(state, src_cloud: str, dst_cloud: str,
         return fallback
     to_gbps = scenario.setting("packet_size_bytes") * 8.0 / 1e9
     link_load = state.link_load
-    residual = math.inf
-    for key, bw in links:
-        left = bw - link_load.get(key, 0.0) * to_gbps
-        if left < residual:
-            residual = left
+    residual = min(bw - link_load.get(key, 0.0) * to_gbps
+                   for key, bw in links)
     if residual <= 0:
         return fallback
     return residual * 1e9
@@ -93,14 +88,14 @@ def evictions_cannot_make_room(state, demand, evictee_ids) -> bool:
     return True
 
 
-def try_migrate_for_fit(state, request, lists, admitter, room,
+def try_migrate_for_fit(state, request, lists, policy,
                         events: list | None = None):
     """Free capacity for `request` by relocating already-placed services.
 
     Tries the request's clouds in current delay order, up to the
     scenario's target limit: evict up to its eviction limit of the target
     cloud's allocations in ascending consumed-demand order, re-admitting
-    each evictee at its next-best feasible cloud via `admitter`; after
+    each evictee at its next-best feasible cloud via `policy.admit`; after
     each relocation retry the new request. A limit of None is no limit.
     Every trial runs on `state` itself: each target is tried under a
     checkpoint and each evictee under a nested one, and a trial that does
@@ -108,23 +103,24 @@ def try_migrate_for_fit(state, request, lists, admitter, room,
     and the returned count is 0; on success it holds the relocations and
     the admitted request, and no checkpoint is left open.
 
-    `admitter(state, request, exclude_clouds)` is the run's placement
-    policy; it commits the admission on that state and returns the
-    Allocation, or returns None leaving the state untouched.
-    `room(state, request, cloud)` is that policy's own room test: what it
-    would place the request on at `cloud` now, or None when it finds no
-    room there.
+    `policy` is the run's placement policy inside trials, one object with
+    two methods that must agree: `policy.admit(state, request,
+    exclude_clouds)` commits the admission on that state and returns the
+    Allocation, or returns None leaving the state untouched;
+    `policy.room(state, request, cloud)` is its own room test, what
+    `admit` would place the request on at `cloud` now, or None when it
+    finds no room there.
 
     A target is skipped without a trial when the storage screen fails, or
-    when (a) `room` finds no room for the request at any of its clouds,
-    (b) no target instance that hosts evictees would fit the request with
-    all of them released, and (c) the evictions would empty none of those
-    instances. During a trial only the target gains room, and only through
-    its evictees; every other cloud, the resource total and, without a
-    retirement, the live cost only tighten; and a VM launched for an
-    evictee has less room left than a fresh VM of a type that was
-    launchable before. So under (a) to (c) no retry could succeed, and the
-    skip changes nothing but the work not done.
+    when (a) `policy.room` finds no room for the request at any of its
+    clouds, (b) no target instance that hosts evictees would fit the
+    request with all of them released, and (c) the evictions would empty
+    none of those instances. During a trial only the target gains room,
+    and only through its evictees; every other cloud, the resource total
+    and, without a retirement, the live cost only tighten; and a VM
+    launched for an evictee has less room left than a fresh VM of a type
+    that was launchable before. So under (a) to (c) no retry could
+    succeed, and the skip changes nothing but the work not done.
 
     Returns (migration_count, success, state), `state` being the object
     passed in.  When `events` is given it receives one (request_id,
@@ -161,7 +157,7 @@ def try_migrate_for_fit(state, request, lists, admitter, room,
             # a failed trial rolls back, so the room found for the first
             # target holds for the next
             if no_room is None:
-                no_room = all(room(state, request, cloud) is None
+                no_room = all(policy.room(state, request, cloud) is None
                               for cloud in clouds)
             if no_room:
                 continue
@@ -175,8 +171,8 @@ def try_migrate_for_fit(state, request, lists, admitter, room,
                     continue
                 evictee_mark = state.checkpoint()
                 state.release(rid)
-                relocated = admitter(state, scenario.request(rid),
-                                     exclude_clouds={target})
+                relocated = policy.admit(state, scenario.request(rid),
+                                         exclude_clouds={target})
                 if relocated is None:
                     state.rollback(evictee_mark)
                     continue
@@ -187,7 +183,7 @@ def try_migrate_for_fit(state, request, lists, admitter, room,
                 moved += 1
                 moves.append((rid, migration_time(scenario, vm_bytes,
                                                   speed)))
-                if admitter(state, request, exclude_clouds=set()) \
+                if policy.admit(state, request, exclude_clouds=set()) \
                         is not None:
                     state.commit(target_mark)
                     committed = True

@@ -262,9 +262,10 @@ class Scenario:
             raise ScenarioError("degradation_fraction must be in [0, 1)")
         check_count("k_paths", self.k_paths, 1)
         # the generator's seed, which `compare` and `sweep` also seed the
-        # heuristics with
-        if "seed" in self.params:
-            check_count("seed", self.params["seed"], 0)
+        # heuristics with; `random.Random` takes any int, negative too
+        seed = self.params.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ScenarioError(f"seed must be an integer, not {seed!r}")
         if not self.resource_cap_total >= 0:
             raise ScenarioError("resource_cap_total must be non-negative")
         for name in ("migration_eviction_limit", "migration_target_limit"):

@@ -162,9 +162,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", [
         ["compare", "--axis", "1,2"],
         ["sweep", "--clouds", "2..3", "--load", "0.5"]])
-    @pytest.mark.parametrize("seed", [[1], "abc", 1.5, -1, True])
-    def test_seed_that_is_no_count_is_two(self, tmp_path, capsys, command,
-                                          seed):
+    @pytest.mark.parametrize("seed", [[1], "abc", 1.5, True])
+    def test_seed_that_is_no_integer_is_two(self, tmp_path, capsys, command,
+                                            seed):
         scen = tmp_path / "seeded.json"
         main(["generate", "--bs", "8", "--clouds", "2", "--requests", "30",
               "--seed", "3", "--out", str(scen)])
@@ -177,6 +177,15 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
+
+    def test_negative_seed_generates_and_compares(self, tmp_path):
+        scen = tmp_path / "negative.json"
+        assert main(["generate", "--bs", "8", "--clouds", "2",
+                     "--requests", "30", "--seed", "-1",
+                     "--out", str(scen)]) == 0
+        assert json.loads(scen.read_text())["params"]["seed"] == -1
+        assert main(["compare", "--scenario", str(scen), "--axis", "1,2",
+                     "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("name,value", [
         ("chain_gbps", "x"), ("backhaul_gbps", "x"), ("n_bs", "8"),

@@ -264,7 +264,7 @@ def _catalog_scan(run, state, cloud, demand):
 
 
 def _reference_trial_admitter(run, state, request, exclude_clouds):
-    """`_Run.trial_admitter` as it was before it found each cloud's room
+    """`_Run.admit` as it was before it found each cloud's room
     once per call and refused a launch on the least fitting type: every
     non-excluded entry is screened, then its cloud's instances and the
     whole VM catalog are scanned."""
@@ -332,7 +332,7 @@ def test_trial_admitter_matches_the_screen_every_entry_loop(
         want = _reference_trial_admitter(run, reference, request, exclude)
         want_work, work = run.work - work, run.work
         before = state.signature()
-        got = run.trial_admitter(state, request, exclude)
+        got = run.admit(state, request, exclude)
         assert run.work - work == want_work
         if want is None:
             assert got is None
@@ -345,21 +345,26 @@ def test_trial_admitter_matches_the_screen_every_entry_loop(
             state.release(rng.choice(sorted(state.allocations)))
 
 
-@pytest.mark.parametrize("block,want", [
-    ("residual", None), ("cap", None), ("cost", None),
-    ("cap", "lean"), ("residual", "lean")])
+@pytest.mark.parametrize("block,lean,want,calls", [
+    ("residual", True, None, 2), ("cap", True, None, 2),
+    ("cost", True, None, 2), ("cost", False, None, 1),
+    ("cap", True, "lean", 4), ("residual", True, "lean", 4)])
 def test_trial_launch_test_matches_the_catalog_scan(monkeypatch, block,
-                                                    want):
-    # A request that fits every type of the lean catalog, at a cloud
-    # with no instance. Either the cloud residual, the resource cap or the
-    # cost threshold blocks every type, and the room test refuses on one
-    # `can_launch` of their least; or they block all but the dearest.
+                                                    lean, want, calls):
+    # A request at a cloud with no instance. With the lean catalog it fits
+    # every type, and either the cloud residual, the resource cap or the
+    # cost threshold blocks every type, and the room test refuses on the
+    # cheapest type's `can_launch` and one of their least; or they block
+    # all but the dearest. In the shipped catalog each dearer type is
+    # larger in every respect, so the cheapest type it fits on is their
+    # least and its one `can_launch` refuses.
     tight = want is None
     # resource units: wide 84, mid 26, lean 13
     cap = {"cap": 10.0 if tight else 20.0}.get(block, 5e4)
     cost = 0.5 if block == "cost" else 1e4
     base = micro_scenario(7)
-    scenario = replace(base, vm_catalog=list(LEAN_CATALOG),
+    catalog = LEAN_CATALOG if lean else base.vm_catalog
+    scenario = replace(base, vm_catalog=list(catalog),
                        cost_threshold=cost, resource_cap_total=cap)
     run = _Run(scenario, HeuristicConfig(BNB_SORTED_ASC))
     cloud = scenario.topology.clouds()[0].id
@@ -374,16 +379,33 @@ def test_trial_launch_test_matches_the_catalog_scan(monkeypatch, block,
     demand = state.demand(request)
     assert all(capacity_fits(demand, vm.capacity, run.degradation)
                for vm in LEAN_CATALOG)
-    calls = []
+    log = []
 
     def counted(state, cloud, vm):
-        calls.append(vm)
+        log.append(vm)
         return can_launch(state, cloud, vm)
 
     monkeypatch.setattr(heuristics, "can_launch", counted)
     got = run.room(state, request, cloud)
     assert got == _catalog_scan(run, state, cloud, demand)
-    if tight:
-        assert got is None and len(calls) == 1
-    else:
-        assert got.name == want and len(calls) == 1 + len(LEAN_CATALOG)
+    assert len(log) == calls
+    assert (got is None) if tight else (got.name == want)
+
+
+@pytest.mark.parametrize("cut,fits", [(0.9, True), (0.7, False)])
+def test_room_scan_degrades_cpu_and_network(cut, fits):
+    # an instance that holds the request's storage but only `cut` of its
+    # cpu and network: at degradation 0.2 it takes the request at 0.9 and
+    # not at 0.7, as `capacity_fits` says
+    scenario = micro_scenario(7)
+    run = _Run(scenario, HeuristicConfig(BNB_SORTED_ASC))
+    state = run.state
+    cloud = scenario.topology.clouds()[0].id
+    request = scenario.requests[0]
+    demand = state.demand(request)
+    tight = VmType("tight", CapacityVector(cut * demand.cpu, demand.storage,
+                                           cut * demand.network), 1.0)
+    inst = state.launch_instance(cloud, tight)
+    assert capacity_fits(demand, inst.residual, run.degradation) is fits
+    where = run.room(state, request, cloud)
+    assert (where == inst.id) is fits

@@ -90,37 +90,39 @@ def _req(i, origin, cls, volume=1000.0):
                           arrival_time=0.001 * i, holding_time=0.008)
 
 
-def _first_fit_policy(scenario, lists):
-    """A first-fit trial policy for direct calls: its admitter and the
+class _FirstFitPolicy:
+    """A first-fit trial policy for direct calls: its admission and the
     room test that goes with it. It takes the fitting instance of least
     id, else launches the catalog's first type, against the cloud
     residual alone."""
-    deg = scenario.degradation_fraction
 
-    def room(state, request, cloud):
-        demand = demand_of(request, scenario)
+    def __init__(self, scenario, lists):
+        self.scenario = scenario
+        self.lists = lists
+
+    def room(self, state, request, cloud):
+        deg = self.scenario.degradation_fraction
+        demand = demand_of(request, self.scenario)
         for iid in sorted(iid for _, iid in state.residual_index[cloud]):
             if capacity_fits(demand, state.instances[iid].residual, deg):
                 return iid
-        vm = scenario.vm_catalog[0]
+        vm = self.scenario.vm_catalog[0]
         if capacity_fits(demand, vm.capacity, deg) \
                 and state.residual_cloud[cloud].covers(vm.capacity):
             return vm
         return None
 
-    def admitter(state, request, exclude_clouds):
-        for entry in lists.list_for_bs(request.origin):
+    def admit(self, state, request, exclude_clouds):
+        for entry in self.lists.list_for_bs(request.origin):
             if entry.cloud in exclude_clouds:
                 continue
-            where = room(state, request, entry.cloud)
+            where = self.room(state, request, entry.cloud)
             if where is None:
                 continue
             if isinstance(where, VmType):
                 where = state.launch_instance(entry.cloud, where).id
             return state.admit(request, where, entry.id, entry.link_keys)
         return None
-
-    return admitter, room
 
 
 def _seed_state(scenario, lists, placements):
@@ -152,7 +154,7 @@ class TestTryMigrateForFit:
         scenario, lists, state, newcomer = self._success_setup()
         events = []
         moved, ok, out = try_migrate_for_fit(
-            state, newcomer, lists, *_first_fit_policy(scenario, lists),
+            state, newcomer, lists, _FirstFitPolicy(scenario, lists),
             events=events)
         assert ok and moved == 1
         # trials run on the caller's state, and success closes the journal
@@ -177,7 +179,7 @@ class TestTryMigrateForFit:
         before = state.signature()
         events = []
         moved, ok, out = try_migrate_for_fit(
-            state, newcomer, lists, *_first_fit_policy(scenario, lists),
+            state, newcomer, lists, _FirstFitPolicy(scenario, lists),
             events=events)
         assert not ok and moved == 0
         assert out is state
@@ -188,7 +190,7 @@ class TestTryMigrateForFit:
         scenario, lists, state, newcomer = self._success_setup(
             migration_eviction_limit=0)
         moved, ok, _ = try_migrate_for_fit(
-            state, newcomer, lists, *_first_fit_policy(scenario, lists))
+            state, newcomer, lists, _FirstFitPolicy(scenario, lists))
         assert not ok and moved == 0
 
     def test_target_limit_restricts_clouds_tried(self):
@@ -197,7 +199,7 @@ class TestTryMigrateForFit:
         # with only the nearest cloud allowed the relocation still works
         # (the victim sits exactly there)
         moved, ok, _ = try_migrate_for_fit(
-            state, newcomer, lists, *_first_fit_policy(scenario, lists))
+            state, newcomer, lists, _FirstFitPolicy(scenario, lists))
         assert ok and moved == 1
 
 
@@ -231,7 +233,7 @@ class TestMigrationLimits:
         lists = build_sorted_lists(scenario.topology, scenario.k_paths)
         state = _seed_state(scenario, lists, [(t, "cloud0") for t in tenants])
         return try_migrate_for_fit(state, newcomer, lists,
-                                   *_first_fit_policy(scenario, lists))[:2]
+                                   _FirstFitPolicy(scenario, lists))[:2]
 
     def test_no_limit_tries_every_evictee(self):
         # five tenants of 16 storage share cloud0's VM (122); the newcomer
@@ -455,8 +457,7 @@ def test_a_trial_that_one_condition_lets_win_runs(case):
             len(evictees) < len(home.assigned)) == {
         "retirement": (True, True, False), "release": (True, False, True),
         "launch": (False, True, True)}[case]
-    moved, ok, _ = try_migrate_for_fit(state, newcomer, run.lists,
-                                       run.trial_admitter, run.room)
+    moved, ok, _ = try_migrate_for_fit(state, newcomer, run.lists, run)
     assert (moved, ok) == (1, True)
     assert state.allocations[0].cloud == far
     home = state.instances[state.allocations[newcomer.id].instance_id]
