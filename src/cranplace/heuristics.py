@@ -370,11 +370,9 @@ class _Run:
             return None
         state = self.state
         demand = state.demand(request)
+        fit = self._fit(demand)
         # capacity_fits(demand, residual, self.degradation), unrolled
-        keep = 1.0 - self.degradation
-        need_cpu = keep * demand.cpu
-        need_storage = demand.storage
-        need_network = keep * demand.network
+        need_cpu, need_storage, need_network, _ = fit.needs
         getrandbits = self.rng.getrandbits
         index = state.residual_index
         instances = state.instances
@@ -406,8 +404,7 @@ class _Run:
             else:
                 cloud = entry.cloud
                 if cloud not in launchable:
-                    launchable[cloud] = self._launchable_vm(
-                        state, cloud, self._fit(demand))
+                    launchable[cloud] = self._launchable_vm(state, cloud, fit)
                 if launchable[cloud] is None:
                     continue
                 key = (ei, -1)
@@ -418,11 +415,8 @@ class _Run:
             if self._entry_feasible(state, request, entry) is None:
                 continue
             if slot >= 0:
-                inst = state.instances.get(slot)
-                if inst is None or not capacity_fits(
-                        demand, inst.residual, self.degradation):
-                    continue
-                return self._commit(request, entry, inst)
+                # the draw found it fits, and nothing has changed since
+                return self._commit(request, entry, state.instances[slot])
             # a launch candidate's cloud has a launchable VM in the map
             cloud = entry.cloud
             return self._commit(request, entry,

@@ -167,8 +167,6 @@ def try_migrate_for_fit(state, request, lists, policy,
             moved = 0
             moves: list[tuple[int, float]] = []
             for rid in evictee_ids:
-                if rid not in state.allocations:
-                    continue
                 evictee_mark = state.checkpoint()
                 state.release(rid)
                 relocated = policy.admit(state, scenario.request(rid),

@@ -123,7 +123,6 @@ class Link:
     dst: str
     service_rate_mu: float        # packets/s
     capacity_bw: float            # Gbps
-    ignore_load: bool = False     # BS->aggregator backhaul links
 
     def __post_init__(self):
         if not (_positive(self.service_rate_mu)

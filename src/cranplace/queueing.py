@@ -67,15 +67,13 @@ def md1_delay(load: QueueLoad) -> float:
 
 
 def path_delay(links, loads) -> float:
-    """Sum of M/D/1 sojourn times over a path's non-ignored links.
+    """Sum of M/D/1 sojourn times over a path's links.
 
     `links` is a sequence of Link objects; `loads` maps link key to
     arrival rate in packets/s (missing keys mean an idle link).
     """
     total = 0.0
     for link in links:
-        if link.ignore_load:
-            continue
         arrival = loads.get(link.key, 0.0)
         if arrival >= link.service_rate_mu:
             raise StabilityViolation(

@@ -8,67 +8,30 @@ import json
 from dataclasses import fields
 from functools import cache
 from itertools import chain, repeat
+from operator import attrgetter
 
 from .errors import ScenarioError
 from .model import (CapacityVector, Link, Node, Scenario, ServiceClass,
                     ServiceRequest, Topology, VmType)
 
-
-def _cap_to_list(cap: CapacityVector):
-    return [cap.cpu, cap.storage, cap.network]
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    topo = scenario.topology
-    params = {k: (_cap_to_list(v) if isinstance(v, CapacityVector) else v)
-              for k, v in sorted(scenario.params.items())}
-    return {
-        "topology": {
-            "nodes": [
-                {"id": n.id, "kind": n.kind,
-                 "capacity": _cap_to_list(n.capacity),
-                 "service_rate": n.service_rate}
-                for n in (topo.nodes[k] for k in sorted(topo.nodes))],
-            "links": [
-                {"src": l.src, "dst": l.dst,
-                 "service_rate_mu": l.service_rate_mu,
-                 "capacity_bw": l.capacity_bw,
-                 "ignore_load": l.ignore_load}
-                for l in (topo.links[k] for k in sorted(topo.links))],
-        },
-        "vm_catalog": [
-            {"name": v.name, "capacity": _cap_to_list(v.capacity),
-             "hourly_cost": v.hourly_cost} for v in scenario.vm_catalog],
-        "classes": [
-            {"name": c.name,
-             "demand_per_10gbps": _cap_to_list(c.demand_per_10gbps),
-             "sla_delay_bound": c.sla_delay_bound}
-            for c in scenario.classes],
-        "requests": [
-            {"id": r.id, "origin": r.origin, "class_name": r.class_name,
-             "volume_packets": r.volume_packets,
-             "packet_size_bytes": r.packet_size_bytes,
-             "arrival_time": r.arrival_time,
-             "holding_time": r.holding_time}
-            for r in scenario.requests],
-        "cost_threshold": scenario.cost_threshold,
-        "degradation_fraction": scenario.degradation_fraction,
-        "k_paths": scenario.k_paths,
-        "resource_cap_total": scenario.resource_cap_total,
-        "params": params,
-    }
-
-
 #: keys older files carry that name no field any more; they are ignored
-_LEGACY_KEYS = {Node: {"traffic"}}
+_LEGACY_KEYS = {Node: {"traffic"}, Link: {"ignore_load"}}
 
 
 @cache
-def _field_names(cls) -> tuple[tuple[str, ...], frozenset[str]]:
-    """The field names of `cls` in order, and every key a file may give
-    it."""
+def _field_names(cls) -> tuple[tuple[str, ...], frozenset[str],
+                                tuple[str, ...]]:
+    """The field names of `cls` in order, every key a file may give it,
+    and the names of its capacity fields, which a file holds as
+    [cpu, storage, network] lists."""
     names = tuple(f.name for f in fields(cls))
-    return names, frozenset(names).union(_LEGACY_KEYS.get(cls, ()))
+    vectors = tuple(f.name for f in fields(cls)
+                    if _type_name(f) == "CapacityVector")
+    return names, frozenset(names).union(_LEGACY_KEYS.get(cls, ())), vectors
+
+
+def _type_name(field) -> str:
+    return getattr(field.type, "__name__", field.type)
 
 
 #: field annotations that mean a number, or a [cpu, storage, network] list
@@ -79,7 +42,36 @@ _NUMBER_TYPES = ("int", "float", "CapacityVector")
 def _number_fields(cls) -> tuple[str, ...]:
     """The names of the fields of `cls` that hold numbers."""
     return tuple(f.name for f in fields(cls)
-                 if getattr(f.type, "__name__", f.type) in _NUMBER_TYPES)
+                 if _type_name(f) in _NUMBER_TYPES)
+
+
+def _records(cls, objs) -> list[dict]:
+    """Each object of `cls` as a record: its fields by name, in field
+    order, a capacity as a list."""
+    names, _, vectors = _field_names(cls)
+    records = [dict(zip(names, values))
+               for values in map(attrgetter(*names), objs)]
+    for name in vectors:
+        for record in records:
+            record[name] = list(record[name])
+    return records
+
+
+def scenario_to_dict(scenario: Scenario) -> dict:
+    """The scenario as the record `scenario_from_dict` reads: its fields,
+    in field order, each object among them a record of its own."""
+    topo = scenario.topology
+    data = _records(Scenario, [scenario])[0]
+    data.update(
+        topology={
+            "nodes": _records(Node, map(topo.nodes.get, sorted(topo.nodes))),
+            "links": _records(Link, map(topo.links.get, sorted(topo.links)))},
+        vm_catalog=_records(VmType, scenario.vm_catalog),
+        classes=_records(ServiceClass, scenario.classes),
+        requests=_records(ServiceRequest, scenario.requests),
+        params={k: list(v) if isinstance(v, CapacityVector) else v
+                for k, v in sorted(scenario.params.items())})
+    return data
 
 
 def _reject_bools(owner: str, records, names, vectors=()) -> None:
@@ -97,28 +89,30 @@ def _reject_bools(owner: str, records, names, vectors=()) -> None:
                                 "true or false")
 
 
-def _build(cls, d: dict, vector: str | None = None, **given):
+def _build(cls, d: dict, **given):
     """`cls(**given)` plus the keys of `d` that name its other fields, so
     that a key the file lacks takes the field's default; a key that names
-    no field, other than a legacy one, is a `ScenarioError`. The field
-    named `vector` is read as a [cpu, storage, network] list."""
-    names, allowed = _field_names(cls)
+    no field, other than a legacy one, is a `ScenarioError`. A capacity
+    field is read as a [cpu, storage, network] list."""
+    names, allowed, vectors = _field_names(cls)
     if not allowed.issuperset(d):
         unknown = set(d).difference(allowed)
         raise ScenarioError(f"unknown {cls.__name__} key(s): "
                             f"{', '.join(sorted(map(str, unknown)))}")
     kwargs = {name: d[name] for name in names
               if name in d and name not in given}
-    if vector in kwargs:
-        kwargs[vector] = CapacityVector(*kwargs[vector])
+    for name in vectors:
+        if name in kwargs:
+            kwargs[name] = CapacityVector(*kwargs[name])
     return cls(**kwargs, **given)
 
 
-def _build_all(cls, records, vector: str | None = None) -> list:
-    """`_build(cls, d, vector)` for each record, once no record gives a
-    bool for a number."""
-    _reject_bools(cls.__name__, records, _number_fields(cls), (vector,))
-    return [_build(cls, d, vector) for d in records]
+def _build_all(cls, records) -> list:
+    """`_build(cls, d)` for each record, once no record gives a bool for
+    a number."""
+    _reject_bools(cls.__name__, records, _number_fields(cls),
+                  _field_names(cls)[2])
+    return [_build(cls, d) for d in records]
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -130,11 +124,10 @@ def scenario_from_dict(data: dict) -> Scenario:
                       [k for k, v in params.items() if type(v) is list])
         return _build(
             Scenario, data,
-            topology=Topology(_build_all(Node, topo_data["nodes"], "capacity"),
+            topology=Topology(_build_all(Node, topo_data["nodes"]),
                               _build_all(Link, topo_data["links"])),
-            vm_catalog=_build_all(VmType, data["vm_catalog"], "capacity"),
-            classes=_build_all(ServiceClass, data["classes"],
-                               "demand_per_10gbps"),
+            vm_catalog=_build_all(VmType, data["vm_catalog"]),
+            classes=_build_all(ServiceClass, data["classes"]),
             requests=_build_all(ServiceRequest, data["requests"]),
             params=params)
     except (KeyError, TypeError) as exc:

@@ -70,8 +70,6 @@ def build_topology(n_bs: int, n_clouds: int, bs_per_aggregator: int,
     Each cloud owns one core router ("head") plus a chain of backhaul
     routers whose depth scales with the per-cloud base-station group size.
     Aggregation routers attach round-robin to heads; heads form a ring.
-    BS access links are flagged ignore_load: only the aggregation and core
-    segments are modeled as M/D/1 queues.
     """
     check_count("n_bs", n_bs, 1)
     check_count("n_clouds", n_clouds, 1)
@@ -100,15 +98,14 @@ def build_topology(n_bs: int, n_clouds: int, bs_per_aggregator: int,
             capacity=p.cloud_capacity_total.scale(1.0 / n_clouds),
             service_rate=p.cloud_service_rate_total / n_clouds))
 
-    def both_ways(src, dst, gbps, ignore=False):
+    def both_ways(src, dst, gbps):
         mu = p.mu_for(gbps)
-        links.append(Link(src, dst, mu, gbps, ignore_load=ignore))
-        links.append(Link(dst, src, mu, gbps, ignore_load=ignore))
+        links.append(Link(src, dst, mu, gbps))
+        links.append(Link(dst, src, mu, gbps))
 
     # access and aggregation
     for b in range(n_bs):
-        both_ways(bs_id(b), f"agg{b // bs_per_aggregator}", p.bs_link_gbps,
-                  ignore=True)
+        both_ways(bs_id(b), f"agg{b // bs_per_aggregator}", p.bs_link_gbps)
     for a in range(n_agg):
         both_ways(f"agg{a}", f"head{a % n_clouds}", p.backhaul_gbps)
 

@@ -159,17 +159,17 @@ def test_generated_lists_match_the_reference(n_bs, n_clouds, per_aggregator,
 @settings(max_examples=60, deadline=None)
 @given(n_bs=st.integers(1, 60), n_clouds=st.integers(1, 9),
        per_aggregator=st.integers(1, 8), k=st.integers(1, 4))
-def test_generated_paths_hold_no_ignore_load_link(n_bs, n_clouds,
-                                                  per_aggregator, k):
-    # paths start at the first hop, so the base stations' access links,
-    # the only ones the generator flags, are never on one
+def test_generated_paths_pass_through_no_base_station(n_bs, n_clouds,
+                                                      per_aggregator, k):
+    # paths start at the first hop, so no path holds a base station's
+    # access link, and no delay counts one
     topology = build_topology(n_bs, n_clouds, per_aggregator)
-    assert any(link.ignore_load for link in topology.links.values())
+    stations = {n.id for n in topology.base_stations()}
     lists = build_sorted_lists(topology, k)
     for entries in lists.by_first_hop.values():
         assert entries
         for entry in entries:
-            assert not any(link.ignore_load for link in entry.links)
+            assert stations.isdisjoint(entry.nodes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -110,12 +110,11 @@ class TestKernels:
 class TestPathDelay:
     def _links(self):
         return [Link("a", "b", 10.0, 1.0),
-                Link("b", "c", 20.0, 1.0),
-                Link("x", "a", 5.0, 1.0, ignore_load=True)]
+                Link("b", "c", 20.0, 1.0)]
 
-    def test_sums_md1_terms_and_skips_ignored(self):
+    def test_sums_md1_terms(self):
         links = self._links()
-        loads = {("a", "b"): 5.0, ("b", "c"): 0.0, ("x", "a"): 4.9}
+        loads = {("a", "b"): 5.0, ("b", "c"): 0.0}
         want = md1_delay(QueueLoad(5.0, 10.0)) + md1_delay(QueueLoad(0.0,
                                                                      20.0))
         assert path_delay(links, loads) == pytest.approx(want)

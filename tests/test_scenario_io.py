@@ -1,7 +1,7 @@
 import json
 import os
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 import yaml
@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 from cranplace.cli import main
 from cranplace.errors import ScenarioError
 from cranplace.model import (CapacityVector, Link, Node, Scenario,
-                             ServiceRequest, Topology, with_requests)
+                             ServiceClass, ServiceRequest, Topology, VmType,
+                             with_requests)
 from cranplace.scenario_io import (load_scenario, save_scenario,
                                    scenario_from_dict, scenario_to_dict)
 from cranplace.workload import make_scenario
@@ -83,6 +84,22 @@ class TestRoundTrip:
         path.write_text(yaml.safe_dump(data))
         _assert_scenarios_equal(scenario, load_scenario(str(path)))
 
+    @pytest.mark.parametrize("fmt", ["json", "yaml"])
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_legacy_ignore_load_key_is_ignored(self, tmp_path, fmt, flag):
+        # older files carry an `ignore_load` on every link, true on a base
+        # station's access link; no path holds such a link
+        for scenario in (micro_scenario(2), make_scenario(8, 2, 30, seed=5)):
+            data = scenario_to_dict(scenario)
+            assert all("ignore_load" not in l
+                       for l in data["topology"]["links"])
+            for l in data["topology"]["links"]:
+                l["ignore_load"] = flag
+            path = tmp_path / f"legacy.{fmt}"
+            path.write_text(json.dumps(data) if fmt == "json"
+                            else yaml.safe_dump(data))
+            _assert_scenarios_equal(scenario, load_scenario(str(path)))
+
     def test_omitted_keys_take_the_field_defaults(self, tiny_scenario):
         data = scenario_to_dict(tiny_scenario)
         for key in ("degradation_fraction", "k_paths", "resource_cap_total",
@@ -92,8 +109,6 @@ class TestRoundTrip:
             del n["capacity"]
             if n["kind"] != "cloud":   # a cloud has no default rate
                 del n["service_rate"]
-        for l in data["topology"]["links"]:
-            del l["ignore_load"]
         for r in data["requests"]:
             del r["arrival_time"], r["holding_time"]
         got = scenario_from_dict(data)
@@ -166,6 +181,19 @@ class TestFileFormat:
                 or json.dumps(record) in lines
         for key in ("cost_threshold", "k_paths", "params"):
             assert any(line.startswith(f'"{key}": ') for line in lines)
+
+    def test_records_hold_their_class_fields_in_order(self):
+        data = scenario_to_dict(make_scenario(8, 2, 30, seed=5))
+        names = lambda cls: [f.name for f in fields(cls)]
+        assert list(data) == names(Scenario)
+        for cls, records in ((Node, data["topology"]["nodes"]),
+                             (Link, data["topology"]["links"]),
+                             (VmType, data["vm_catalog"]),
+                             (ServiceClass, data["classes"]),
+                             (ServiceRequest, data["requests"])):
+            assert records
+            for record in records:
+                assert list(record) == names(cls)
 
     @pytest.mark.parametrize("style", ["flow_leaves", "block"])
     def test_older_yaml_files_load_the_same(self, tmp_path, style):
@@ -269,14 +297,6 @@ class TestMalformedInput:
         data = scenario_to_dict(make_scenario(8, 2, 10, seed=3))
         data["params"]["seed"] = seed
         assert scenario_from_dict(data).params["seed"] == seed
-
-    def test_bool_field_still_takes_a_bool(self):
-        data = scenario_to_dict(micro_scenario(2))
-        link = next(d for d in data["topology"]["links"]
-                    if not d["ignore_load"])
-        link["ignore_load"] = True
-        scenario = scenario_from_dict(data)
-        assert scenario.topology.links[link["src"], link["dst"]].ignore_load
 
     @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
     def test_bad_cloud_service_rate_is_rejected(self, tmp_path, rate):

@@ -76,11 +76,6 @@ class TestBuildTopology:
             assert c.service_rate == pytest.approx(
                 p.cloud_service_rate_total / 3.0)
 
-    def test_bs_links_ignore_load(self):
-        topo = build_topology(4, 1, 2)
-        assert topo.links[("bs0", "agg0")].ignore_load
-        assert not topo.links[("agg0", "head0")].ignore_load
-
     def test_validation(self):
         with pytest.raises(ScenarioError):
             build_topology(0, 1, 1)
