@@ -6,11 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceeded, InfeasibleError
+from .errors import BudgetExceeded, InfeasibleError, StabilityViolation
 from .model import CLOUD, CapacityVector, Scenario, capacity_fits, demand_of
 from .paths import build_sorted_lists
-from .state import (PlacementState, can_launch, committed_delay,
-                    projected_delay)
+from .state import PlacementState, can_launch, projected_delay, sla_limit
 
 _EPS = 1e-9
 
@@ -32,27 +31,27 @@ class ConstraintReport:
 
 
 def request_delay(state: PlacementState, scenario: Scenario,
-                  request_id: int) -> tuple[float, float]:
+                  request_id: int) -> tuple[float, float] | None:
     """(link delay, compute delay) of an admitted request under the
-    state's committed loads."""
-    return committed_delay(state, state.allocations[request_id])
+    state's committed loads, or None if a link of its path or its cloud
+    is at or over its service rate."""
+    return projected_delay(state, state.allocations[request_id].path, 0.0)
 
 
 def sla_limits(scenario: Scenario) -> dict[int, float]:
-    """Per request id, the largest end-to-end delay `check_sla` accepts."""
-    return {r.id: scenario.service_class(r.class_name).sla_delay_bound
-            + _EPS for r in scenario.requests}
+    """Per request id, its `sla_limit`."""
+    return {r.id: sla_limit(scenario, r) for r in scenario.requests}
 
 
 def evaluate_node(state: PlacementState,
                   limits: dict[int, float]) -> float | None:
     """Partial objective of a search node: every admitted request's delay,
-    summed in allocation order. None at the first request over its SLA
-    limit."""
+    summed in allocation order. None at the first request that is over its
+    SLA limit or on an unstable link or cloud."""
     total = 0.0
     for rid, alloc in state.allocations.items():
-        link_d, comp_d = committed_delay(state, alloc)
-        delay = link_d + comp_d
+        delays = projected_delay(state, alloc.path, 0.0)
+        delay = math.inf if delays is None else delays[0] + delays[1]
         if delay > limits[rid]:
             return None
         total += delay
@@ -169,7 +168,7 @@ def check_link_load_consistency(state, scenario):
     clouds = {}
     for rid, alloc in state.allocations.items():
         rate = scenario.request(rid).rate_pps
-        for key in alloc.links:
+        for key in alloc.path.link_keys:
             links[key] = links.get(key, 0.0) + rate
         clouds[alloc.cloud] = clouds.get(alloc.cloud, 0.0) + rate
     for key, expected in links.items():
@@ -208,12 +207,12 @@ def check_cost(state, scenario):
 
 
 def check_sla(state, scenario):
-    """Per-request end-to-end delay within the class SLA bound."""
+    """Per-request end-to-end delay within its `sla_limit`; a request on an
+    unstable link or cloud has no finite delay, so it is over."""
     for rid in sorted(state.allocations):
-        bound = scenario.service_class(
-            scenario.request(rid).class_name).sla_delay_bound
-        link_d, comp_d = request_delay(state, scenario, rid)
-        if link_d + comp_d > bound + _EPS:
+        delays = request_delay(state, scenario, rid)
+        if delays is None or delays[0] + delays[1] > sla_limit(
+                scenario, scenario.request(rid)):
             return False, (rid,)
     return True, None
 
@@ -228,7 +227,7 @@ def check_integrity(state, scenario):
         if inst is None or inst.cloud != alloc.cloud \
                 or rid not in inst.assigned:
             return False, (rid, alloc.instance_id)
-        if alloc.links and alloc.links[-1][1] != alloc.cloud:
+        if alloc.path.cloud != alloc.cloud:
             return False, (rid, alloc.path_id)
     return True, None
 
@@ -263,8 +262,11 @@ def objective(state: PlacementState, scenario: Scenario,
                 f"state violates: {', '.join(report.failures())}")
     total = 0.0
     for rid in sorted(state.allocations):
-        link_d, comp_d = request_delay(state, scenario, rid)
-        total += link_d + comp_d
+        delays = request_delay(state, scenario, rid)
+        if delays is None:
+            raise StabilityViolation(f"request {rid} is on an unstable "
+                                     "link or cloud")
+        total += delays[0] + delays[1]
     return total
 
 
@@ -376,7 +378,7 @@ def solve_exact(scenario: Scenario,
                     iid = work.launch_instance(entry.cloud, vm).id
                 else:
                     iid = choice[1]
-                work.admit(request, iid, entry.id, entry.link_keys)
+                work.admit(request, iid, entry)
                 vec.append(step)
                 recurse(work, depth + 1, vec)
                 vec.pop()
@@ -396,5 +398,5 @@ def solve_exact(scenario: Scenario,
             iid = inst.id
         else:
             iid = key
-        final.admit(request, iid, entry.id, entry.link_keys)
+        final.admit(request, iid, entry)
     return final

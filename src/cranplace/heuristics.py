@@ -17,7 +17,7 @@ from .migration import try_migrate_for_fit
 from .model import CapacityVector, Scenario, VmType, capacity_fits
 from .paths import build_sorted_lists, refresh_one
 from .state import (Allocation, DelayBreakdown, PlacementState, can_launch,
-                    committed_delay, projected_delay)
+                    projected_delay, sla_limit)
 
 BNB_PLAIN = "bnb_plain"
 BNB_SORTED_ASC = "bnb_sorted_asc"
@@ -28,8 +28,6 @@ SA_LONG = "sa_long"
 BNB_KINDS = (BNB_PLAIN, BNB_SORTED_ASC, BNB_SORTED_DESC)
 SA_KINDS = (SA_SHORT, SA_LONG)
 ALL_KINDS = BNB_KINDS + SA_KINDS
-
-_EPS = 1e-9
 
 #: instances the SA random-fit scan probes from its random offset
 _SA_PROBE_LIMIT = 8
@@ -178,10 +176,8 @@ class _Run:
         and cloud. Returns projected (link_delay, compute_delay) or None."""
         self.work += 1 + len(entry.links)
         delays = projected_delay(state, entry, request.rate_pps)
-        if delays is None:
-            return None
-        bound = self.scenario.service_class(request.class_name).sla_delay_bound
-        if delays[0] + delays[1] > bound + _EPS:
+        if delays is None or delays[0] + delays[1] > sla_limit(
+                self.scenario, request):
             return None
         return delays
 
@@ -260,15 +256,14 @@ class _Run:
     # -- committing --------------------------------------------------------
 
     def _commit(self, request, entry, instance) -> Allocation:
-        alloc = self.state.admit(request, instance.id, entry.id,
-                                 entry.link_keys)
+        alloc = self.state.admit(request, instance.id, entry)
         self._record_delays(alloc)
         return alloc
 
     def _record_delays(self, alloc: Allocation):
         """(Re)compute the admitted-time link and compute delay of one
         allocation against the current main state."""
-        link_d, comp_d = committed_delay(self.state, alloc)
+        link_d, comp_d = projected_delay(self.state, alloc.path, 0.0)
         bd = self.breakdown.setdefault(alloc.request_id, DelayBreakdown())
         bd.link_delay = link_d
         bd.compute_delay = comp_d
@@ -345,7 +340,7 @@ class _Run:
                 continue
             if isinstance(where, VmType):
                 where = state.launch_instance(cloud, where).id
-            return state.admit(request, where, entry.id, entry.link_keys)
+            return state.admit(request, where, entry)
         return None
 
     # -- per-request placement policies ------------------------------------
@@ -437,7 +432,7 @@ class _Run:
         else:
             ordered = sorted(scenario.requests, key=lambda r: r.id)
         draws = 0
-        if cfg.kind in SA_KINDS:
+        if cfg.kind in SA_KINDS and ordered:
             draws = sa_iterations(len(ordered),
                                   "short" if cfg.kind == SA_SHORT else "long")
         expiry: list[tuple[float, int]] = []

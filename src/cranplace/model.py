@@ -105,8 +105,9 @@ class Node:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ScenarioError(f"unknown node kind {self.kind!r}")
-        if not all(map(math.isfinite, self.capacity)):
-            raise ScenarioError(f"node {self.id}: capacity must be finite")
+        if not all(0 <= c < math.inf for c in self.capacity):
+            raise ScenarioError(f"node {self.id}: capacity must be finite "
+                                "and non-negative")
         if self.kind != CLOUD and not self.capacity.is_zero():
             raise ScenarioError(f"non-cloud node {self.id} has capacity")
         if self.kind != CLOUD and self.service_rate != 0:
@@ -224,6 +225,10 @@ class ServiceRequest:
     holding_time: float = 1.0
 
     def __post_init__(self):
+        # ids key the allocations and sort the output rows
+        if isinstance(self.id, bool) or not isinstance(self.id, int):
+            raise ScenarioError(f"request id must be an integer, not "
+                                f"{self.id!r}")
         for name in ("volume_packets", "packet_size_bytes", "holding_time"):
             if not _positive(getattr(self, name)):
                 raise ScenarioError(f"request {self.id}: {name} must be "
@@ -279,8 +284,13 @@ class Scenario:
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}
-        if len(self._requests) != len(self.requests):
-            raise ScenarioError("request ids must be unique")
+        # a duplicate would be found in place of the first by its key
+        for what, index, records in (
+                ("service class names", self._classes, self.classes),
+                ("VM type names", self._vms, self.vm_catalog),
+                ("request ids", self._requests, self.requests)):
+            if len(index) != len(records):
+                raise ScenarioError(f"{what} must be unique")
         # link rates are converted at this size, request rates at their own
         packet_size = self.setting("packet_size_bytes")
         for r in self.requests:

@@ -1,8 +1,8 @@
 """Mutable placement state: allocations, live VM instances, residual
 capacities, queue loads, run counters, a per-cloud index of instances by
 remaining capacity, and an undo journal for trial changes; and the
-admission rules every solver reads them by: a request's projected and
-committed delay, and the VM launch test."""
+admission rules every solver reads them by: a request's delay on a path,
+its SLA limit, and the VM launch test."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 from .errors import CranplaceError
 from .model import CapacityVector, Scenario, ServiceRequest, VmType, demand_of
+from .paths import PathEntry
 from .queueing import md1, mm1
 
 _MISSING = object()
@@ -58,10 +59,13 @@ class Allocation(NamedTuple):
     request_id: int
     cloud: str
     instance_id: int
-    path_id: str
-    links: tuple[tuple[str, str], ...]  # every link of the path, in order
+    path: PathEntry
     consumed: CapacityVector
     rate_pps: float
+
+    @property
+    def path_id(self) -> str:
+        return self.path.id
 
 
 class PlacementState:
@@ -229,8 +233,8 @@ class PlacementState:
         return CapacityVector(min(demand.cpu, r.cpu), demand.storage,
                               min(demand.network, r.network))
 
-    def admit(self, request: ServiceRequest, instance_id: int, path_id: str,
-              links: tuple[tuple[str, str], ...]) -> Allocation:
+    def admit(self, request: ServiceRequest, instance_id: int,
+              path: PathEntry) -> Allocation:
         if request.id in self.allocations:
             raise CranplaceError(f"request {request.id} already admitted")
         inst = self.instances[instance_id]
@@ -238,6 +242,7 @@ class PlacementState:
         new_residual = inst.residual - consumed
         if not new_residual.nonnegative():
             raise CranplaceError(f"instance {instance_id} over-committed")
+        links = path.link_keys
         journal = self._journal
         if journal is not None:
             journal.append((inst.assigned.__delitem__, (request.id,)))
@@ -247,8 +252,8 @@ class PlacementState:
             self._save(self.cloud_load, inst.cloud)
         self._set_residual(inst, new_residual)
         inst.assigned[request.id] = consumed
-        alloc = Allocation(request.id, inst.cloud, instance_id, path_id,
-                           links, consumed, request.rate_pps)
+        alloc = Allocation(request.id, inst.cloud, instance_id, path,
+                           consumed, request.rate_pps)
         self.allocations[request.id] = alloc
         rate = request.rate_pps
         for key in links:
@@ -266,12 +271,13 @@ class PlacementState:
             raise CranplaceError(f"request {request_id} is not admitted") \
                 from None
         inst = self.instances[alloc.instance_id]
+        links = alloc.path.link_keys
         journal = self._journal
         if journal is not None:
             journal.append((self.allocations.__setitem__,
                             (request_id, alloc)))
             self._save(inst.assigned, request_id)
-            for key in alloc.links:
+            for key in links:
                 self._save(self.link_load, key)
             self._save(self.cloud_load, alloc.cloud)
         del inst.assigned[request_id]
@@ -279,7 +285,7 @@ class PlacementState:
             self._set_residual(inst, inst.residual + alloc.consumed)
         else:
             self.retire_instance(alloc.instance_id)
-        for key in alloc.links:
+        for key in links:
             left = self.link_load[key] - alloc.rate_pps
             if left <= 1e-12:
                 del self.link_load[key]
@@ -345,13 +351,15 @@ class PlacementState:
 
 # -- admission rules -------------------------------------------------------
 
-def projected_delay(state: PlacementState, entry,
+def projected_delay(state: PlacementState, entry: PathEntry,
                     rate: float) -> tuple[float, float] | None:
     """(link delay, compute delay) a request of `rate` would have on a
     path entry if admitted now: the M/D/1 terms of the entry's
     `link_rates` in path order and the M/M/1 term of its cloud, at the
     state's loads plus `rate`. None if a link or the cloud would be
-    unstable."""
+    unstable. An admitted request's delay is
+    `projected_delay(state, alloc.path, 0.0)`: its rate is already in the
+    loads."""
     link_load = state.link_load
     link_d = 0.0
     for key, mu in entry.link_rates:
@@ -367,19 +375,10 @@ def projected_delay(state: PlacementState, entry,
     return link_d, mm1(psi, upsilon)
 
 
-def committed_delay(state: PlacementState,
-                    alloc: Allocation) -> tuple[float, float]:
-    """(link delay, compute delay) of an admitted request at the state's
-    loads, its link terms summed in path order."""
-    topology = state.scenario.topology
-    link_load = state.link_load
-    links = topology.links
-    link_d = 0.0
-    for key in alloc.links:
-        link_d += md1(link_load.get(key, 0.0), links[key].service_rate_mu)
-    cloud = alloc.cloud
-    return link_d, mm1(state.cloud_load.get(cloud, 0.0),
-                       topology.nodes[cloud].service_rate)
+def sla_limit(scenario: Scenario, request: ServiceRequest) -> float:
+    """The largest end-to-end delay `request` may have: its class's SLA
+    bound plus 1e-9."""
+    return scenario.service_class(request.class_name).sla_delay_bound + _EPS
 
 
 def can_launch(state: PlacementState, cloud: str, vm: VmType) -> bool:

@@ -66,6 +66,19 @@ class TestPlace:
         assert (out / "summary.csv").exists()
         assert (out / "delays.csv").exists()
 
+    @pytest.mark.parametrize("name", sorted(HEURISTIC_NAMES))
+    def test_a_scenario_with_no_requests_runs(self, tmp_path, name):
+        data = scenario_to_dict(micro_scenario(2))
+        data["requests"] = []
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / name
+        assert main(["place", "--scenario", str(path), "--heuristic", name,
+                     "--out", str(out)]) == 0
+        rows = (out / "summary.csv").read_text().splitlines()
+        assert rows[1].split(",")[1:3] == ["0", "0"]
+        assert (out / "delays.csv").read_text().splitlines()[1:] == []
+
 
 class TestSweepAndCompare:
     def test_sweep_prints_optimum(self, tmp_path, capsys):
@@ -248,6 +261,51 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "service_rate" in err and "Traceback" not in err
+
+    def test_negative_cloud_capacity_is_two(self, tmp_path, capsys):
+        data = scenario_to_dict(micro_scenario(2))
+        cloud = next(n for n in data["topology"]["nodes"]
+                     if n["kind"] == "cloud")
+        cloud["capacity"] = [-1.0, 45000.0, 6000.0]
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(data))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "capacity" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", [
+        ["solve-exact"], ["place", "--heuristic", "bnb"]])
+    @pytest.mark.parametrize("records,what", [
+        ("vm_catalog", "VM type names"), ("classes", "service class names")])
+    def test_duplicate_name_is_two(self, tmp_path, capsys, command, records,
+                                   what):
+        data = scenario_to_dict(micro_scenario(0))
+        first, second = data[records][:2]
+        second["name"] = first["name"]
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(data))
+        rc = main([command[0], "--scenario", str(path)] + command[1:]
+                  + ["--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert what in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("rid", ["x", 3.5, True])
+    def test_request_id_that_is_no_integer_is_two(self, tmp_path, capsys,
+                                                   rid):
+        data = scenario_to_dict(micro_scenario(2))
+        data["requests"][0]["id"] = rid
+        path = tmp_path / "ids.json"
+        path.write_text(json.dumps(data))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert " id " in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_path_enumeration_limit_is_two(self, scenario_file, tmp_path,
                                            capsys, monkeypatch):

@@ -4,7 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cranplace.errors import BudgetExceeded, CranplaceError, InfeasibleError
+from cranplace.errors import (BudgetExceeded, CranplaceError, InfeasibleError,
+                              StabilityViolation)
 from cranplace.exact import (CONSTRAINTS, ExactBudget, evaluate_constraints,
                              evaluate_node, least_delay, objective,
                              request_delay, score_child, sla_limits,
@@ -25,7 +26,7 @@ def _admitted_state(scenario):
     for req in scenario.requests:
         entry = lists.list_for_bs(req.origin)[0]
         inst = state.launch_instance(entry.cloud, scenario.vm_catalog[0])
-        state.admit(req, inst.id, entry.id, entry.link_keys)
+        state.admit(req, inst.id, entry)
     return state
 
 
@@ -86,11 +87,26 @@ class TestConstraintCheckers:
     def test_sla(self, tiny_scenario):
         state = _admitted_state(tiny_scenario)
         alloc = next(iter(state.allocations.values()))
-        key = alloc.links[0]
+        key = alloc.path.link_keys[0]
         mu = tiny_scenario.topology.links[key].service_rate_mu
         state.link_load[key] = mu * (1.0 - 1e-12)  # stable but glacial
         report = evaluate_constraints(state, tiny_scenario)
         assert "sla" in report.failures()
+
+    def test_unstable_allocated_path(self, tiny_scenario):
+        # a link on an allocation's own path at its service rate: the
+        # request has no finite delay, so it is over its SLA as well
+        state = _admitted_state(tiny_scenario)
+        alloc = next(iter(state.allocations.values()))
+        key = alloc.path.link_keys[0]
+        state.link_load[key] = tiny_scenario.topology.links[key] \
+            .service_rate_mu
+        report = evaluate_constraints(state, tiny_scenario)
+        assert {"stability", "sla"} <= set(report.failures())
+        assert report.results["sla"] == (False, (alloc.request_id,))
+        assert request_delay(state, tiny_scenario, alloc.request_id) is None
+        with pytest.raises(StabilityViolation):
+            objective(state, tiny_scenario, check_feasible=False)
 
     def test_integrity(self, tiny_scenario):
         state = _admitted_state(tiny_scenario)
@@ -136,7 +152,7 @@ class TestSolveExact:
             for vm in scenario.vm_catalog:
                 trial = PlacementState(scenario)
                 inst = trial.launch_instance(entry.cloud, vm)
-                trial.admit(req, inst.id, entry.id, entry.link_keys)
+                trial.admit(req, inst.id, entry)
                 cand = objective(trial, scenario)
                 best = cand if best is None else min(best, cand)
         assert got == pytest.approx(best)
@@ -318,7 +334,7 @@ def _try_admit(state, lists, a, b, c) -> bool:
             return False
         iid = state.launch_instance(entry.cloud, vm).id
     try:
-        state.admit(req, iid, entry.id, entry.link_keys)
+        state.admit(req, iid, entry)
     except CranplaceError:   # over-committed: rejected untouched
         return False
     return True
@@ -380,9 +396,11 @@ def _placed_delays(state, lists, request):
             try:
                 if vm is not None:
                     iid = state.launch_instance(entry.cloud, vm).id
-                state.admit(request, iid, entry.id, entry.link_keys)
-                out.append(sum(request_delay(state, scenario, request.id)))
-            except CranplaceError:   # unfitting, or unstable once admitted
+                state.admit(request, iid, entry)
+                delays = request_delay(state, scenario, request.id)
+                if delays is not None:   # None: unstable once admitted
+                    out.append(sum(delays))
+            except CranplaceError:   # unfitting
                 pass
             state.rollback(mark)
     return out
@@ -484,7 +502,7 @@ def _reference_solve(scenario):
                 iid = work.launch_instance(entry.cloud, vm).id
             else:
                 iid = choice[1]
-            work.admit(request, iid, entry.id, entry.link_keys)
+            work.admit(request, iid, entry)
             work_obj = evaluate_node(work, limits)
             if work_obj is None:
                 continue
@@ -508,7 +526,7 @@ def _reference_solve(scenario):
             iid = final.launch_instance(cloud, scenario.vm_type(key)).id
         else:
             iid = key
-        final.admit(request, iid, entry.id, entry.link_keys)
+        final.admit(request, iid, entry)
     return final
 
 
@@ -625,7 +643,7 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
     vm = scenario.vm_catalog[-1]
     child.residual_cloud[entry.cloud] = vm.capacity   # room for one more
     iid = child.launch_instance(entry.cloud, vm).id
-    child.admit(request, iid, entry.id, entry.link_keys)
+    child.admit(request, iid, entry)
     want = evaluate_node(child, limits)
     assert obj == want
     if want is None:

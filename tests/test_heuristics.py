@@ -115,6 +115,18 @@ class TestAllKindsOnEasyLoad:
         assert a.total_delay == b.total_delay
 
 
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_scenario_with_no_requests_places_nothing(kind, mode):
+    # SA draws as many samples as its request count asks for, so it must
+    # not ask when there is none
+    empty = replace(micro_scenario(0), requests=[])
+    r = place(empty, HeuristicConfig(kind, mode=mode))
+    assert (r.satisfied, r.dropped, r.migrations, r.work_units) \
+        == (0, 0, 0, 0)
+    assert not r.state.allocations and not r.breakdown
+
+
 class TestPackingPolicies:
     def test_static_mode_holds_everything(self):
         scenario = micro_scenario(5)
@@ -241,9 +253,9 @@ def test_light_stream_outputs_are_pinned(light_scenario, kind, monkeypatch):
     admitted = []
     admit = PlacementState.admit
 
-    def recording_admit(state, request, instance_id, path_id, links):
-        admitted.append((request.id, instance_id, path_id))
-        return admit(state, request, instance_id, path_id, links)
+    def recording_admit(state, request, instance_id, path):
+        admitted.append((request.id, instance_id, path.id))
+        return admit(state, request, instance_id, path)
 
     monkeypatch.setattr(PlacementState, "admit", recording_admit)
     r = place(light_scenario, HeuristicConfig(kind, seed=7))
@@ -280,11 +292,11 @@ def _reference_trial_admitter(run, state, request, exclude_clouds):
             iid = lst[j][1]
             if capacity_fits(demand, state.instances[iid].residual,
                              run.degradation):
-                return state.admit(request, iid, entry.id, entry.link_keys)
+                return state.admit(request, iid, entry)
         vm = _catalog_scan(run, state, entry.cloud, demand)
         if vm is not None:
             inst = state.launch_instance(entry.cloud, vm)
-            return state.admit(request, inst.id, entry.id, entry.link_keys)
+            return state.admit(request, inst.id, entry)
     return None
 
 

@@ -121,7 +121,7 @@ class _FirstFitPolicy:
                 continue
             if isinstance(where, VmType):
                 where = state.launch_instance(entry.cloud, where).id
-            return state.admit(request, where, entry.id, entry.link_keys)
+            return state.admit(request, where, entry)
         return None
 
 
@@ -135,7 +135,7 @@ def _seed_state(scenario, lists, placements):
                                                  scenario.vm_catalog[0])
         entry = next(e for e in lists.list_for_bs(request.origin)
                      if e.cloud == cloud)
-        state.admit(request, insts[cloud].id, entry.id, entry.link_keys)
+        state.admit(request, insts[cloud].id, entry)
     return state
 
 
@@ -438,7 +438,7 @@ def test_a_trial_that_one_condition_lets_win_runs(case):
         for request in group:
             entry = next(e for e in run.lists.list_for_bs(request.origin)
                          if e.cloud == cloud)
-            state.admit(request, inst.id, entry.id, entry.link_keys)
+            state.admit(request, inst.id, entry)
     # exactly one of the screen's three conditions fails, each tested
     # here from first principles
     demand = state.demand(newcomer)

@@ -113,9 +113,10 @@ class TestCatalogAndClasses:
             with pytest.raises(ScenarioError):
                 ServiceClass("c", CapacityVector(1.0, 1.0, 1.0), bound)
 
-    def test_rejects_non_finite(self):
-        # capacities are checked where they enter, not on every sum
-        for bad in (math.nan, math.inf, -math.inf):
+    def test_rejects_non_finite_or_negative(self):
+        # capacities are checked where they enter, not on every sum; a
+        # negative cloud capacity would silently drop every request there
+        for bad in (math.nan, math.inf, -math.inf, -1.0):
             for i in range(3):
                 parts = [1.0, 1.0, 1.0]
                 parts[i] = bad
@@ -150,6 +151,13 @@ class TestRequests:
                 ServiceRequest(0, "bs0", "c", 1.0, 500.0,
                                arrival_time=arrival)
 
+    @pytest.mark.parametrize("rid", ["x", "3", 3.5, 3.0, True, None])
+    def test_id_must_be_an_integer(self, rid):
+        # ids key the allocations and sort the output rows
+        with pytest.raises(ScenarioError, match="request id"):
+            ServiceRequest(rid, "bs0", "c", 1.0, 500.0)
+        ServiceRequest(-3, "bs0", "c", 1.0, 500.0)
+
 
 class TestScenario:
     def test_demand_scales_with_offered_rate(self, tiny_scenario):
@@ -170,6 +178,22 @@ class TestScenario:
         first = tiny_scenario.requests[0]
         with pytest.raises(ScenarioError):
             with_requests(tiny_scenario, [first, first])
+
+    def test_duplicate_vm_type_names_rejected(self, tiny_scenario):
+        # the oracle replays its choice by name, so a twin would make it
+        # return a VM it did not choose
+        cheap, dear = tiny_scenario.vm_catalog
+        twin = replace(dear, name=cheap.name)
+        with pytest.raises(ScenarioError, match="VM type names"):
+            replace(tiny_scenario, vm_catalog=[cheap, twin])
+
+    def test_duplicate_class_names_rejected(self, tiny_scenario):
+        # a lookup by name would find the twin, whose SLA would replace
+        # the first class's
+        first = tiny_scenario.classes[0]
+        twin = replace(first, sla_delay_bound=2 * first.sla_delay_bound)
+        with pytest.raises(ScenarioError, match="service class names"):
+            replace(tiny_scenario, classes=tiny_scenario.classes + [twin])
 
     def test_origin_must_be_base_station(self, tiny_scenario):
         bad = ServiceRequest(99, "cloud0", "physical", 1000.0, 500.0)

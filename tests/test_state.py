@@ -65,7 +65,7 @@ class TestAdmitRelease:
         req = tiny_scenario.requests[0]
         entry = _entry_for(tiny_scenario, req)
         inst = state.launch_instance(entry.cloud, tiny_scenario.vm_catalog[0])
-        alloc = state.admit(req, inst.id, entry.id, entry.link_keys)
+        alloc = state.admit(req, inst.id, entry)
         demand = demand_of(req, tiny_scenario)
         assert alloc.consumed == demand  # full fit, nothing clipped
         assert inst.residual == tiny_scenario.vm_catalog[0].capacity - demand
@@ -79,7 +79,7 @@ class TestAdmitRelease:
         entry = _entry_for(tiny_scenario, req)
         inst = state.launch_instance(entry.cloud, tiny_scenario.vm_catalog[0])
         before = state.signature()
-        state.admit(req, inst.id, entry.id, entry.link_keys)
+        state.admit(req, inst.id, entry)
         state.release(req.id)
         # the instance emptied and was retired; loads must vanish
         assert not state.link_load and not state.cloud_load
@@ -92,9 +92,9 @@ class TestAdmitRelease:
         req = tiny_scenario.requests[0]
         entry = _entry_for(tiny_scenario, req)
         inst = state.launch_instance(entry.cloud, tiny_scenario.vm_catalog[0])
-        state.admit(req, inst.id, entry.id, entry.link_keys)
+        state.admit(req, inst.id, entry)
         with pytest.raises(CranplaceError):
-            state.admit(req, inst.id, entry.id, entry.link_keys)
+            state.admit(req, inst.id, entry)
         with pytest.raises(CranplaceError):
             state.release(12345)
 
@@ -117,7 +117,7 @@ class TestCloneAndSignature:
         req = tiny_scenario.requests[0]
         entry = _entry_for(tiny_scenario, req)
         inst = state.launch_instance(entry.cloud, tiny_scenario.vm_catalog[0])
-        state.admit(req, inst.id, entry.id, entry.link_keys)
+        state.admit(req, inst.id, entry)
         sig = state.signature()
         other = state.clone()
         other.release(req.id)
@@ -156,7 +156,7 @@ def _apply(state, lists, steps):
                 continue
             iid = hosts[(a + b) % len(hosts)][1]
             try:
-                state.admit(req, iid, entry.id, entry.link_keys)
+                state.admit(req, iid, entry)
             except CranplaceError:   # over-committed: rejected untouched
                 pass
         elif kind == 2:
