@@ -20,8 +20,8 @@ DEFAULT_DEGRADATION_FRACTION = 0.2
 DEFAULT_K_PATHS = 3
 DEFAULT_RESOURCE_CAP = 50000.0
 
-#: generated links (Gbps): aggregator uplinks, BS access links (ignored
-#: for load), and the core ring and cloud backhaul chains
+#: generated links (Gbps): aggregator uplinks, BS access links, and the
+#: core ring and cloud backhaul chains
 DEFAULT_BACKHAUL_GBPS = 40.0
 DEFAULT_BS_LINK_GBPS = 100.0
 DEFAULT_CHAIN_GBPS = 320.0

@@ -13,9 +13,6 @@ from .state import PlacementState, can_launch, projected_delay, sla_limit
 
 _EPS = 1e-9
 
-CONSTRAINTS = ("cloud_capacity", "vm_capacity", "link_load_consistency",
-               "stability", "cost_threshold", "sla", "integrity")
-
 
 @dataclass
 class ConstraintReport:
@@ -241,6 +238,8 @@ _CHECKS = {
     "sla": check_sla,
     "integrity": check_integrity,
 }
+#: the checker names, in report order
+CONSTRAINTS = tuple(_CHECKS)
 
 
 def evaluate_constraints(state, scenario) -> ConstraintReport:

@@ -10,7 +10,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 from .errors import ScenarioError
 from .migration import try_migrate_for_fit
@@ -91,18 +90,11 @@ def sa_iterations(n_requests: int, mode: str) -> int:
     raise ValueError(f"unknown SA mode {mode!r}")
 
 
-class _Least(NamedTuple):
-    """What `can_launch` reads of a VM type, each the least over a set of
-    types: capacity per component, resource units and hourly cost."""
-    capacity: CapacityVector
-    resource_units: float
-    hourly_cost: float
-
-
 class _Fit:
     """What a run needs to know of one demand: the VM types of `catalog`,
-    which is in cost order, that it fits on, and, when first asked, their
-    least and what `capacity_fits` asks of a residual."""
+    which is in cost order, that it fits on, and, when first asked,
+    whether the cheapest of them is the least and what `capacity_fits`
+    asks of a residual."""
 
     def __init__(self, demand, catalog, degradation):
         self.demand = demand
@@ -120,22 +112,18 @@ class _Fit:
                 fit_floor(demand, degradation))
 
     @cached_property
-    def least(self):
-        """The least of the fitting types in every respect `can_launch`
-        reads: the cheapest type itself when it is, else a `_Least`."""
-        fitting = self.fitting
-        cheapest = fitting[0]   # the catalog is in cost order
-        least = _Least(
-            CapacityVector(*map(min, zip(*[vm.capacity for vm in fitting]))),
-            min([vm.resource_units for vm in fitting]), cheapest.hourly_cost)
-        if least == (cheapest.capacity, cheapest.resource_units,
-                     cheapest.hourly_cost):
-            return cheapest
-        return least
+    def cheapest_dominates(self):
+        """Whether every fitting type's capacity covers the cheapest's.
+        Resource units are cpu + network and the catalog is in cost order,
+        so then no type can launch where the cheapest cannot."""
+        cheapest = self.fitting[0]
+        return all(vm.capacity.covers(cheapest.capacity)
+                   for vm in self.fitting[1:])
 
 
 class _Run:
-    """Single placement run; owns the state and the launch history."""
+    """Single placement run: its state, the delay breakdown it records
+    and its work count."""
 
     def __init__(self, scenario: Scenario, config: HeuristicConfig):
         self.scenario = scenario
@@ -146,28 +134,11 @@ class _Run:
         self.catalog = sorted(scenario.vm_catalog,
                               key=lambda v: (v.hourly_cost, v.name))
         self.rng = random.Random(config.seed)
-        # append-only launch history per cloud: the plain scan walks it
-        # and skips retired ids
-        self.launch_order: dict[str, list[int]] = {}
         self.first_drop_index: int | None = None
         self.breakdown: dict[int, DelayBreakdown] = {}
         self.work = 0
         # demand -> its `_Fit`
         self._fits: dict[CapacityVector, _Fit] = {}
-
-    def _launch(self, cloud, vm):
-        inst = self.state.launch_instance(cloud, vm)
-        self.launch_order.setdefault(cloud, []).append(inst.id)
-        return inst
-
-    def _note_launches(self, first_id):
-        """Add the instances a migration launched, ids `first_id` on, that
-        are still live to the launch history."""
-        instances = self.state.instances
-        for iid in range(first_id, self.state._next_instance_id):
-            if iid in instances:
-                self.launch_order.setdefault(instances[iid].cloud,
-                                             []).append(iid)
 
     # -- feasibility ------------------------------------------------------
 
@@ -193,15 +164,13 @@ class _Run:
     def _launchable_vm(self, state, cloud, fit):
         """Cheapest VM type of `fit.fitting` launchable at this cloud under
         the cloud residual, resource cap and cost threshold. When the
-        cheapest cannot launch, none can where their least in every
-        respect cannot, so one more `can_launch` refuses most clouds."""
+        cheapest cannot launch and is the least of them, none can."""
         fitting = fit.fitting
         if not fitting:
             return None
         if can_launch(state, cloud, fitting[0]):
             return fitting[0]
-        least = fit.least
-        if least is fitting[0] or not can_launch(state, cloud, least):
+        if fit.cheapest_dominates:
             return None
         for vm in fitting[1:]:
             if can_launch(state, cloud, vm):
@@ -225,7 +194,7 @@ class _Run:
                     return inst
             return None
         if kind == BNB_PLAIN:
-            for iid in self.launch_order.get(cloud, ()):
+            for iid in self.state.launched[cloud]:
                 self.work += 1
                 inst = self.state.instances.get(iid)
                 if inst is None:  # long since retired
@@ -255,14 +224,18 @@ class _Run:
 
     # -- committing --------------------------------------------------------
 
-    def _commit(self, request, entry, instance) -> Allocation:
+    def _commit(self, request, entry, instance, delays) -> Allocation:
+        """Admit `request` on `instance` over `entry` and record `delays`,
+        the (link, compute) pair the screen projected. Admission raises
+        each load by the rate as the screen did, so they are the delays
+        `_record_delays` would compute."""
         alloc = self.state.admit(request, instance.id, entry)
-        self._record_delays(alloc)
+        self.breakdown[request.id] = DelayBreakdown(*delays)
         return alloc
 
     def _record_delays(self, alloc: Allocation):
-        """(Re)compute the admitted-time link and compute delay of one
-        allocation against the current main state."""
+        """Recompute the admitted-time link and compute delay of one
+        allocation against the current main state, after a migration."""
         link_d, comp_d = projected_delay(self.state, alloc.path, 0.0)
         bd = self.breakdown.setdefault(alloc.request_id, DelayBreakdown())
         bd.link_delay = link_d
@@ -276,7 +249,8 @@ class _Run:
         so what it holds stays true for the whole pass."""
         state = self.state
         for entry in entries:
-            if self._entry_feasible(state, request, entry) is None:
+            delays = self._entry_feasible(state, request, entry)
+            if delays is None:
                 continue
             cloud = entry.cloud
             inst = self._pick_instance(cloud, demand)
@@ -287,8 +261,8 @@ class _Run:
                 vm = launchable[cloud]
                 if vm is None:
                     continue
-                inst = self._launch(cloud, vm)
-            return self._commit(request, entry, inst)
+                inst = state.launch_instance(cloud, vm)
+            return self._commit(request, entry, inst, delays)
         return None
 
     # -- policy used inside migration trials --------------------------------
@@ -320,10 +294,10 @@ class _Run:
         """The trial policy's admission, ascending best fit: the fitting
         instance with the least total remaining capacity on the first
         feasible entry, else a new one. Commits with `state.admit`, so no
-        delays are recorded mid-trial, and leaves the launch history to
-        the caller. Nothing changes before the commit, so each cloud's
-        room (`_room`) is found once, and only entries on a cloud with
-        room are screened; a skipped screen still counts its work."""
+        delays are recorded mid-trial. Nothing changes before the commit,
+        so each cloud's room (`_room`) is found once, and only entries on
+        a cloud with room are screened; a skipped screen still counts its
+        work."""
         fit = self._fit(state.demand(request))
         room = {}
         for entry in self.lists.list_for_bs(request.origin):
@@ -407,15 +381,17 @@ class _Run:
                 candidates[key] = (entry.current_delay, attempt)
         for ei, slot in sorted(candidates, key=candidates.__getitem__):
             entry = entries[ei]
-            if self._entry_feasible(state, request, entry) is None:
+            delays = self._entry_feasible(state, request, entry)
+            if delays is None:
                 continue
             if slot >= 0:
                 # the draw found it fits, and nothing has changed since
-                return self._commit(request, entry, state.instances[slot])
-            # a launch candidate's cloud has a launchable VM in the map
-            cloud = entry.cloud
-            return self._commit(request, entry,
-                                self._launch(cloud, launchable[cloud]))
+                inst = state.instances[slot]
+            else:
+                # a launch candidate's cloud has a launchable VM in the map
+                cloud = entry.cloud
+                inst = state.launch_instance(cloud, launchable[cloud])
+            return self._commit(request, entry, inst, delays)
         # sampling found nothing workable; fall back to a plain pass over
         # the entry list, sharing the map, before giving up on the request
         return self._first_fit(request, entries, demand, launchable)
@@ -449,14 +425,11 @@ class _Run:
             else:
                 alloc = self._place_sa_request(request, draws)
             if alloc is None:
-                events: list[tuple[int, float]] = []
-                first_id = self.state._next_instance_id
-                _, ok, _ = try_migrate_for_fit(
-                    self.state, request, self.lists, self, events)
+                moves, ok = try_migrate_for_fit(self.state, request,
+                                                self.lists, self)
                 if ok:
-                    self._note_launches(first_id)
                     alloc = self.state.allocations[request.id]
-                    for rid, delay in events:
+                    for rid, delay in moves:
                         bd = self.breakdown.setdefault(rid, DelayBreakdown())
                         bd.migration_delay += delay
                         self._record_delays(self.state.allocations[rid])

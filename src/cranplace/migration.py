@@ -88,8 +88,7 @@ def evictions_cannot_make_room(state, demand, evictee_ids) -> bool:
     return True
 
 
-def try_migrate_for_fit(state, request, lists, policy,
-                        events: list | None = None):
+def try_migrate_for_fit(state, request, lists, policy):
     """Free capacity for `request` by relocating already-placed services.
 
     Tries the request's clouds in current delay order, up to the
@@ -99,9 +98,9 @@ def try_migrate_for_fit(state, request, lists, policy,
     each relocation retry the new request. A limit of None is no limit.
     Every trial runs on `state` itself: each target is tried under a
     checkpoint and each evictee under a nested one, and a trial that does
-    not work out is rolled back. On failure `state` is as it was on entry
-    and the returned count is 0; on success it holds the relocations and
-    the admitted request, and no checkpoint is left open.
+    not work out is rolled back. On failure `state` is as it was on entry;
+    on success it holds the relocations and the admitted request, and no
+    checkpoint is left open.
 
     `policy` is the run's placement policy inside trials, one object with
     two methods that must agree: `policy.admit(state, request,
@@ -122,10 +121,9 @@ def try_migrate_for_fit(state, request, lists, policy,
     that was launchable before. So under (a) to (c) no retry could
     succeed, and the skip changes nothing but the work not done.
 
-    Returns (migration_count, success, state), `state` being the object
-    passed in.  When `events` is given it receives one (request_id,
-    migration_delay) pair per relocation kept; it is left empty on
-    failure.
+    Returns (moves, success): `moves` holds one (request_id,
+    migration_delay) pair per relocation kept, in the order made, and is
+    empty on failure.
     """
     scenario = state.scenario
     entries = lists.list_for_bs(request.origin)
@@ -164,7 +162,6 @@ def try_migrate_for_fit(state, request, lists, policy,
         target_mark = state.checkpoint()
         committed = False
         try:
-            moved = 0
             moves: list[tuple[int, float]] = []
             for rid in evictee_ids:
                 evictee_mark = state.checkpoint()
@@ -178,19 +175,16 @@ def try_migrate_for_fit(state, request, lists, policy,
                                               relocated.cloud,
                                               lists.intercloud_links)
                 state.migrations += 1
-                moved += 1
                 moves.append((rid, migration_time(scenario, vm_bytes,
                                                   speed)))
                 if policy.admit(state, request, exclude_clouds=set()) \
                         is not None:
                     state.commit(target_mark)
                     committed = True
-                    if events is not None:
-                        events.extend(moves)
-                    return moved, True, state
+                    return moves, True
         finally:
             if not committed:
                 # this target did not work out; try the next-best cloud
                 state.rollback(target_mark)
 
-    return 0, False, state
+    return [], False

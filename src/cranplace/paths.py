@@ -120,7 +120,6 @@ class SortedPathLists:
     shortest path between them, or None when there is none; migration
     fills it on first use."""
 
-    topology: Topology
     by_first_hop: dict[str, list[PathEntry]] = field(default_factory=dict)
     first_hop_of: dict[str, str] = field(default_factory=dict)
     paths_by_id: dict[str, PathEntry] = field(default_factory=dict)
@@ -135,7 +134,7 @@ def build_sorted_lists(topology: Topology, k: int) -> SortedPathLists:
     """Precompute k-shortest paths from every base station's first hop to
     every cloud, with one search per first hop, and sort them by idle
     delay."""
-    lists = SortedPathLists(topology)
+    lists = SortedPathLists()
     clouds = sorted(c.id for c in topology.clouds())
     for bs in sorted(n.id for n in topology.base_stations()):
         hop = topology.first_hop(bs)

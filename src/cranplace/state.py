@@ -1,8 +1,8 @@
 """Mutable placement state: allocations, live VM instances, residual
-capacities, queue loads, run counters, a per-cloud index of instances by
-remaining capacity, and an undo journal for trial changes; and the
-admission rules every solver reads them by: a request's delay on a path,
-its SLA limit, and the VM launch test."""
+capacities, queue loads, run counters, each cloud's launch record, a
+per-cloud index of instances by remaining capacity, and an undo journal
+for trial changes; and the admission rules every solver reads them by:
+a request's delay on a path, its SLA limit, and the VM launch test."""
 
 from __future__ import annotations
 
@@ -90,11 +90,13 @@ class PlacementState:
         self.cloud_load: dict[str, float] = {}
         self.dropped: list[int] = []
         self.migrations: int = 0
-        self.instances_launched: int = 0
+        self.instances_launched: int = 0   # also the next instance id
         self.resources_used: float = 0.0   # cumulative normalized units
         self.cost_accrued: float = 0.0     # cumulative $/h of launches
-        self._next_instance_id: int = 0
         self._live_cost: float = 0.0
+        # ids launched at each cloud, in launch order; retired ids stay
+        self.launched: dict[str, list[int]] = {
+            cloud: [] for cloud in self.residual_cloud}
         # live instances of each cloud as (residual_key, id), ascending
         self.residual_index: dict[str, list[tuple[float, int]]] = {
             cloud: [] for cloud in self.residual_cloud}
@@ -109,8 +111,7 @@ class PlacementState:
 
     def _counters(self) -> tuple:
         return (self.migrations, self.instances_launched,
-                self.resources_used, self.cost_accrued, self._live_cost,
-                self._next_instance_id)
+                self.resources_used, self.cost_accrued, self._live_cost)
 
     def checkpoint(self) -> Mark:
         """Open a mark; marks nest. Every change from here on can be undone
@@ -130,8 +131,7 @@ class PlacementState:
             undo, args = journal.pop()
             undo(*args)
         (self.migrations, self.instances_launched, self.resources_used,
-         self.cost_accrued, self._live_cost,
-         self._next_instance_id) = mark.counters
+         self.cost_accrued, self._live_cost) = mark.counters
         if mark.outermost:
             self._journal = None
 
@@ -184,13 +184,15 @@ class PlacementState:
         residual = self.residual_cloud[cloud]
         if not residual.covers(vm_type.capacity):
             raise CranplaceError(f"cloud {cloud} cannot host {vm_type.name}")
-        inst = VmInstance(self._next_instance_id, cloud, vm_type,
+        inst = VmInstance(self.instances_launched, cloud, vm_type,
                           vm_type.capacity)
+        launched = self.launched[cloud]
         if self._journal is not None:
             self._journal.append((self.instances.__delitem__, (inst.id,)))
+            self._journal.append((launched.pop, ()))
             self._save(self.residual_cloud, cloud)
-        self._next_instance_id += 1
         self.instances[inst.id] = inst
+        launched.append(inst.id)
         self.residual_cloud[cloud] = residual - vm_type.capacity
         self._index_insert(inst)
         self.instances_launched += 1
@@ -325,8 +327,9 @@ class PlacementState:
         other.instances_launched = self.instances_launched
         other.resources_used = self.resources_used
         other.cost_accrued = self.cost_accrued
-        other._next_instance_id = self._next_instance_id
         other._live_cost = self._live_cost
+        other.launched = {cloud: list(ids) for cloud, ids
+                          in self.launched.items()}
         other.residual_index = {cloud: list(lst) for cloud, lst
                                 in self.residual_index.items()}
         other._demands = self._demands
@@ -346,6 +349,8 @@ class PlacementState:
             self.migrations,
             self.instances_launched,
             round(self.resources_used, 9),
+            tuple(sorted((cloud, tuple(ids))
+                         for cloud, ids in self.launched.items())),
         )
 
 

@@ -95,12 +95,12 @@ def make_scenario(n_bs: int, n_clouds: int, n_requests: int,
                   params: dict | None = None) -> Scenario:
     """Stock scenario: generated topology, stock VM catalog and
     service classes, and a load-targeted workload. Everything needed to
-    rebuild the topology for a different cloud count is kept in params."""
-    merged = {**defaults.DEFAULT_PARAMS, **(params or {})}
-    merged.setdefault("n_bs", n_bs)
+    rebuild the topology for a different cloud count is kept in params;
+    `n_bs`, `load_fraction` and `seed` are recorded from the arguments,
+    over any value `params` holds, since those generate the scenario."""
+    merged = {**defaults.DEFAULT_PARAMS, **(params or {}), "n_bs": n_bs,
+              "load_fraction": load_fraction, "seed": seed}
     merged.setdefault("bs_per_aggregator", defaults.DEFAULT_BS_PER_AGGREGATOR)
-    merged.setdefault("load_fraction", load_fraction)
-    merged.setdefault("seed", seed)
     merged.setdefault("volume_packets", defaults.DEFAULT_VOLUME_PACKETS)
     merged.setdefault("holding_time", defaults.DEFAULT_HOLDING_TIME_S)
     merged.setdefault("backhaul_gbps", defaults.DEFAULT_BACKHAUL_GBPS)

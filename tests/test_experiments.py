@@ -23,6 +23,13 @@ class TestScenarioForClouds:
         # same generator seed: identical request stream
         assert rebuilt.requests == base_scenario.requests
 
+    def test_params_that_disagree_with_the_arguments_are_not_recorded(self):
+        # the arguments generate the stream, so the record must hold them
+        s = make_scenario(8, 2, 30, seed=0,
+                          params={"seed": 3, "load_fraction": 0.3})
+        assert (s.params["seed"], s.params["load_fraction"]) == (0, 0.6)
+        assert scenario_for_clouds(s, 2).requests == s.requests
+
     def test_load_override_changes_arrivals(self, base_scenario):
         hot = scenario_for_clouds(base_scenario, 3, load_fraction=0.9)
         assert hot.params["load_fraction"] == 0.9

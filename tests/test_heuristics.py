@@ -358,18 +358,18 @@ def test_trial_admitter_matches_the_screen_every_entry_loop(
 
 
 @pytest.mark.parametrize("block,lean,want,calls", [
-    ("residual", True, None, 2), ("cap", True, None, 2),
-    ("cost", True, None, 2), ("cost", False, None, 1),
-    ("cap", True, "lean", 4), ("residual", True, "lean", 4)])
+    ("residual", True, None, 3), ("cap", True, None, 3),
+    ("cost", True, None, 3), ("cost", False, None, 1),
+    ("cap", True, "lean", 3), ("residual", True, "lean", 3)])
 def test_trial_launch_test_matches_the_catalog_scan(monkeypatch, block,
                                                     lean, want, calls):
     # A request at a cloud with no instance. With the lean catalog it fits
     # every type, and either the cloud residual, the resource cap or the
-    # cost threshold blocks every type, and the room test refuses on the
-    # cheapest type's `can_launch` and one of their least; or they block
-    # all but the dearest. In the shipped catalog each dearer type is
-    # larger in every respect, so the cheapest type it fits on is their
-    # least and its one `can_launch` refuses.
+    # cost threshold blocks every type, or they block all but the dearest;
+    # the cheapest type is not the least, so the room test asks each type.
+    # In the shipped catalog each dearer type is at least as large in
+    # every component, so the cheapest type it fits on is their least and
+    # its one `can_launch` refuses.
     tight = want is None
     # resource units: wide 84, mid 26, lean 13
     cap = {"cap": 10.0 if tight else 20.0}.get(block, 5e4)

@@ -1,5 +1,6 @@
 """The seven constraint checkers of `evaluate_constraints` hold after every
-step of a placement run, not only on its final state."""
+step of a placement run, not only on its final state, and so do the
+state's launch record and the delays a main-pass admission records."""
 
 from collections import Counter
 from unittest import mock
@@ -12,6 +13,7 @@ from cranplace import heuristics
 from cranplace.exact import evaluate_constraints
 from cranplace.heuristics import ALL_KINDS, HeuristicConfig, _Run
 from cranplace.migration import try_migrate_for_fit
+from cranplace.state import projected_delay
 from cranplace.workload import make_scenario
 
 from conftest import micro_scenario
@@ -26,26 +28,58 @@ class _CheckedRun(_Run):
     def __init__(self, scenario, config):
         super().__init__(scenario, config)
         self.checked = Counter()   # step -> states checked after it
+        self.cloud_of = {}   # instance id -> cloud of its latest launch
+        launch = self.state.launch_instance
+
+        def noted(cloud, vm_type):
+            inst = launch(cloud, vm_type)
+            self.cloud_of[inst.id] = cloud
+            return inst
+        self.state.launch_instance = noted
 
     def check(self, request, step):
         report = evaluate_constraints(self.state, self.scenario)
         assert report.feasible, (self.config.kind, request.id, step,
                                  report.results)
+        self.check_launch_record()
         self.checked[step] += 1
+
+    def check_launch_record(self):
+        """Each cloud's record is strictly ascending, holds only ids last
+        launched there and every live instance there, and the records
+        together hold every launch kept."""
+        state = self.state
+        for cloud, ids in state.launched.items():
+            assert all(a < b for a, b in zip(ids, ids[1:])), (cloud, ids)
+            assert all(self.cloud_of[i] == cloud for i in ids), (cloud, ids)
+            live = {i for i, inst in state.instances.items()
+                    if inst.cloud == cloud}
+            assert live <= set(ids), (cloud, live - set(ids))
+        assert sum(map(len, state.launched.values())) == \
+            state.instances_launched
+
+    def check_recorded_delays(self, alloc):
+        """A main-pass admission records the delays its allocation has."""
+        if alloc is not None:
+            bd = self.breakdown[alloc.request_id]
+            assert (bd.link_delay, bd.compute_delay) == projected_delay(
+                self.state, alloc.path, 0.0)
 
     def _place_bnb_request(self, request):
         alloc = super()._place_bnb_request(request)
         self.check(request, "placement")
+        self.check_recorded_delays(alloc)
         return alloc
 
     def _place_sa_request(self, request, draws):
         alloc = super()._place_sa_request(request, draws)
         self.check(request, "placement")
+        self.check_recorded_delays(alloc)
         return alloc
 
 
-def _checked_migrate(state, request, lists, policy, events=None):
-    outcome = try_migrate_for_fit(state, request, lists, policy, events)
+def _checked_migrate(state, request, lists, policy):
+    outcome = try_migrate_for_fit(state, request, lists, policy)
     if outcome[1]:
         policy.check(request, "migration")
     return outcome

@@ -150,22 +150,18 @@ class TestTryMigrateForFit:
         state = _seed_state(scenario, lists, [(victim, "cloud0")])
         return scenario, lists, state, newcomer
 
-    def test_relocation_succeeds_and_reports_events(self):
+    def test_relocation_succeeds_and_reports_moves(self):
         scenario, lists, state, newcomer = self._success_setup()
-        events = []
-        moved, ok, out = try_migrate_for_fit(
-            state, newcomer, lists, _FirstFitPolicy(scenario, lists),
-            events=events)
-        assert ok and moved == 1
+        moves, ok = try_migrate_for_fit(
+            state, newcomer, lists, _FirstFitPolicy(scenario, lists))
+        assert ok and len(moves) == 1
         # trials run on the caller's state, and success closes the journal
-        assert out is state
         assert state._journal is None
-        assert out.migrations == 1
-        assert len(events) == 1
-        rid, delay = events[0]
+        assert state.migrations == 1
+        rid, delay = moves[0]
         assert rid == 0 and delay > 0.0
-        assert out.allocations[0].cloud == "cloud1"
-        assert out.allocations[1].cloud == "cloud0"
+        assert state.allocations[0].cloud == "cloud1"
+        assert state.allocations[1].cloud == "cloud0"
 
     def test_failure_is_atomic(self):
         # both clouds blocked and nowhere to put a victim
@@ -177,30 +173,26 @@ class TestTryMigrateForFit:
         state = _seed_state(scenario, lists, [(r0, "cloud0"),
                                               (r1, "cloud1")])
         before = state.signature()
-        events = []
-        moved, ok, out = try_migrate_for_fit(
-            state, newcomer, lists, _FirstFitPolicy(scenario, lists),
-            events=events)
-        assert not ok and moved == 0
-        assert out is state
+        moves, ok = try_migrate_for_fit(
+            state, newcomer, lists, _FirstFitPolicy(scenario, lists))
+        assert not ok and moves == []
         assert state.signature() == before
-        assert events == []
 
     def test_eviction_limit_zero_blocks_relocation(self):
         scenario, lists, state, newcomer = self._success_setup(
             migration_eviction_limit=0)
-        moved, ok, _ = try_migrate_for_fit(
+        moves, ok = try_migrate_for_fit(
             state, newcomer, lists, _FirstFitPolicy(scenario, lists))
-        assert not ok and moved == 0
+        assert not ok and len(moves) == 0
 
     def test_target_limit_restricts_clouds_tried(self):
         scenario, lists, state, newcomer = self._success_setup(
             migration_target_limit=1)
         # with only the nearest cloud allowed the relocation still works
         # (the victim sits exactly there)
-        moved, ok, _ = try_migrate_for_fit(
+        moves, ok = try_migrate_for_fit(
             state, newcomer, lists, _FirstFitPolicy(scenario, lists))
-        assert ok and moved == 1
+        assert ok and len(moves) == 1
 
 
 class TestMigrationLimits:
@@ -222,7 +214,7 @@ class TestMigrationLimits:
 
     @staticmethod
     def _evict_all(n_tenants, volume, **limits):
-        """`try_migrate_for_fit`'s (moved, success) when `n_tenants`
+        """`try_migrate_for_fit`'s (moves made, success) when `n_tenants`
         physical tenants of `volume` share cloud0's only VM and only moving
         all of them frees room for the newcomer: cloud1 has room for one
         VM, which takes the tenants but not the newcomer."""
@@ -232,8 +224,9 @@ class TestMigrationLimits:
         scenario = _two_cloud_scenario(tenants + [newcomer], **limits)
         lists = build_sorted_lists(scenario.topology, scenario.k_paths)
         state = _seed_state(scenario, lists, [(t, "cloud0") for t in tenants])
-        return try_migrate_for_fit(state, newcomer, lists,
-                                   _FirstFitPolicy(scenario, lists))[:2]
+        moves, ok = try_migrate_for_fit(state, newcomer, lists,
+                                        _FirstFitPolicy(scenario, lists))
+        return len(moves), ok
 
     def test_no_limit_tries_every_evictee(self):
         # five tenants of 16 storage share cloud0's VM (122); the newcomer
@@ -457,8 +450,8 @@ def test_a_trial_that_one_condition_lets_win_runs(case):
             len(evictees) < len(home.assigned)) == {
         "retirement": (True, True, False), "release": (True, False, True),
         "launch": (False, True, True)}[case]
-    moved, ok, _ = try_migrate_for_fit(state, newcomer, run.lists, run)
-    assert (moved, ok) == (1, True)
+    moves, ok = try_migrate_for_fit(state, newcomer, run.lists, run)
+    assert (len(moves), ok) == (1, True)
     assert state.allocations[0].cloud == far
     home = state.instances[state.allocations[newcomer.id].instance_id]
     assert home.vm_type is (small if case == "release" else big)

@@ -123,6 +123,8 @@ class TestCloneAndSignature:
         other.release(req.id)
         other.drop(req.id)
         other.migrations += 1
+        assert other.launch_instance(entry.cloud,
+                                     tiny_scenario.vm_catalog[0]).id == 1
         assert state.signature() == sig
         assert other.signature() != sig
 
@@ -183,8 +185,9 @@ def _snapshot(state):
         {iid: (inst.cloud, inst.residual, dict(inst.assigned))
          for iid, inst in state.instances.items()},
         {cloud: list(lst) for cloud, lst in state.residual_index.items()},
+        {cloud: list(ids) for cloud, ids in state.launched.items()},
         (state.migrations, state.instances_launched, state.resources_used,
-         state.cost_accrued, state.live_cost(), state._next_instance_id),
+         state.cost_accrued, state.live_cost()),
     )
 
 
