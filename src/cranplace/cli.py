@@ -112,7 +112,7 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
     clouds = _parse_range(args.clouds)
     config = HeuristicConfig(kind=BNB_SORTED_ASC,
-                             seed=scenario.params.get("seed", 0))
+                             seed=scenario.setting("seed"))
     points = run_sweep(scenario, clouds, args.load, config)
     os.makedirs(args.out, exist_ok=True)
     write_sweep_csv(points, os.path.join(args.out, "sweep.csv"))
@@ -131,8 +131,6 @@ def _cmd_simulate(args) -> int:
     print(f"mean_sojourn {result.mean_sojourn:.9g}")
     print(f"ci95_halfwidth {result.ci95_halfwidth:.9g}")
     print(f"analytic {analytic:.9g}")
-    print(f"packets_served {result.packets_served}")
-    print(f"drops {result.drops}")
     return 0
 
 
@@ -142,7 +140,7 @@ def _cmd_compare(args) -> int:
         axis = [int(x) for x in args.axis.split(",") if x.strip() != ""]
     except ValueError:
         raise ScenarioError(f"bad axis {args.axis!r}") from None
-    seed = scenario.params.get("seed", 0)
+    seed = scenario.setting("seed")
     configs = [HeuristicConfig(kind=k, seed=seed) for k in ALL_KINDS]
     report = compare_heuristics(scenario, axis, configs, out_dir=args.out)
     print(f"wrote {len(report.files)} metric files to {args.out}")

@@ -34,6 +34,7 @@ DEFAULT_CLOUD_CAPACITY_TOTAL = (24000.0, 90000.0, 12000.0)
 #: the run settings, read through `Scenario.setting`: a scenario's own
 #: params override them key by key, and `Scenario` checks them when built
 DEFAULT_PARAMS = {
+    "seed": 0,
     "packet_size_bytes": DEFAULT_PACKET_SIZE_BYTES,
     "migration_overhead_s": 1e-4,
     "migration_page_bytes": 4096.0,

@@ -1,5 +1,5 @@
-"""Discrete-event validation of the analytic queue models: single M/M/1
-and M/D/1 queues and tandem paths, with drop-tail buffers.
+"""Discrete-event validation of the analytic queue models: M/M/1 and
+M/D/1 queues with infinite FIFO buffers, alone or in tandem.
 
 numpy is imported inside the functions that use it, so that importing
 cranplace, which re-exports the simulator, does not load it."""
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .defaults import DEFAULT_PACKET_SIZE_BYTES
 from .errors import StabilityViolation
 from .queueing import QueueLoad
 
@@ -25,9 +24,7 @@ _WARMUP_FRACTION = 0.10
 class SimResult:
     mean_sojourn: float
     ci95_halfwidth: float
-    packets_served: int
-    drops: int
-    time_avg_in_system: float = 0.0
+    time_avg_in_system: float
 
 
 def _draw_services(rng, discipline, n, service_rate):
@@ -83,77 +80,17 @@ def _time_average_in_system(arrivals, departures):
     return area / horizon
 
 
-def _simulate_with_drops(arrivals, services, capacity_packets):
-    """Slow-path drop-tail loop, used only when the buffer can bind."""
-    import numpy as np
-    n = len(arrivals)
-    departures = []
-    sojourns = []
-    queue = []  # departure times of packets still in system
-    drops = 0
-    last_done = 0.0
-    for i in range(n):
-        t = arrivals[i]
-        while queue and queue[0] <= t:
-            queue.pop(0)
-        if len(queue) >= capacity_packets:
-            drops += 1
-            continue
-        start = max(t, last_done)
-        done = start + services[i]
-        last_done = done
-        queue.append(done)
-        departures.append(done)
-        sojourns.append(done - t)
-    return (np.asarray(departures), np.asarray(sojourns), drops)
-
-
 def simulate_queue(discipline: str, load: QueueLoad, n_packets: int,
-                   buffer_bytes: float = 2 ** 30, seed: int = 0,
-                   packet_size_bytes: float = DEFAULT_PACKET_SIZE_BYTES
-                   ) -> SimResult:
-    """Seeded event simulation of one queue; mean sojourn with a 95%
-    batch-means confidence interval."""
-    import numpy as np
-    if load.arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive to generate traffic")
-    if load.utilization >= 1.0:
-        raise StabilityViolation(
-            f"cannot simulate unstable load rho={load.utilization}")
-    if n_packets < _N_BATCHES:
-        raise ValueError(f"need at least {_N_BATCHES} packets")
-    rng = np.random.default_rng(seed)
-    arrivals = np.cumsum(rng.exponential(1.0 / load.arrival_rate,
-                                         size=n_packets))
-    services = _draw_services(rng, discipline, n_packets, load.service_rate)
-    departures, waits = _lindley_departures(arrivals, services)
-    capacity_packets = int(buffer_bytes // packet_size_bytes)
-    # number in system just before each arrival
-    already_left = np.searchsorted(departures, arrivals, side="right")
-    in_system = np.arange(n_packets) - already_left
-    if int(in_system.max()) >= capacity_packets:
-        departures, sojourns, drops = _simulate_with_drops(
-            arrivals, services, capacity_packets)
-        served_arrivals = departures - sojourns
-    else:
-        sojourns = waits + services
-        drops = 0
-        served_arrivals = arrivals
-    mean, half = _batch_stats(sojourns)
-    return SimResult(
-        mean_sojourn=mean,
-        ci95_halfwidth=half,
-        packets_served=len(sojourns),
-        drops=drops,
-        time_avg_in_system=_time_average_in_system(served_arrivals,
-                                                   departures),
-    )
+                   seed: int = 0) -> SimResult:
+    """Seeded event simulation of one queue: a one-stage tandem."""
+    return simulate_tandem([load], discipline, n_packets, seed=seed)
 
 
 def simulate_tandem(links, discipline: str, n_packets: int,
                     seed: int = 0) -> SimResult:
-    """Packets traverse the queues in sequence (infinite buffers); reports
-    the end-to-end mean sojourn."""
+    """Seeded event simulation of Poisson packets traversing the queues in
+    sequence; end-to-end mean sojourn with a 95% batch-means confidence
+    interval."""
     import numpy as np
     loads = list(links)
     if not loads:
@@ -165,19 +102,22 @@ def simulate_tandem(links, discipline: str, n_packets: int,
     lam = loads[0].arrival_rate
     if lam <= 0:
         raise ValueError("arrival_rate must be positive to generate traffic")
+    if n_packets < _N_BATCHES:
+        raise ValueError(f"need at least {_N_BATCHES} packets")
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / lam, size=n_packets))
-    stage_in = arrivals
+    departures = arrivals
+    # summed per stage, not taken as departure - arrival, so that a
+    # one-stage run's sojourns are exactly waits + services
+    sojourns = 0.0
     for load in loads:
         services = _draw_services(rng, discipline, n_packets,
                                   load.service_rate)
-        stage_in, _ = _lindley_departures(stage_in, services)
-    sojourns = stage_in - arrivals
+        departures, waits = _lindley_departures(departures, services)
+        sojourns = sojourns + (waits + services)
     mean, half = _batch_stats(sojourns)
     return SimResult(
         mean_sojourn=mean,
         ci95_halfwidth=half,
-        packets_served=n_packets,
-        drops=0,
-        time_avg_in_system=_time_average_in_system(arrivals, stage_in),
+        time_avg_in_system=_time_average_in_system(arrivals, departures),
     )

@@ -50,7 +50,7 @@ def scenario_for_clouds(base_scenario: Scenario, n_clouds: int,
     params["load_fraction"] = load
     built = make_scenario(params["n_bs"], n_clouds,
                           len(base_scenario.requests), load_fraction=load,
-                          seed=params.get("seed", 0), params=params)
+                          seed=base_scenario.setting("seed"), params=params)
     return replace(base_scenario, topology=built.topology,
                    requests=built.requests, params=params)
 

@@ -47,21 +47,50 @@ class HeuristicConfig:
 
 @dataclass
 class PlacementResult:
+    """A finished run: its final state and per-request delays, and the
+    totals read from them."""
     kind: str
     state: PlacementState
-    satisfied: int
-    dropped: int
-    migrations: int
-    instances_launched: int
-    total_resources_used: float
-    total_cost: float
     wall_time: float
-    total_link_delay: float
-    total_compute_delay: float
-    total_migration_delay: float
     first_drop_index: int | None = None
     breakdown: dict = field(default_factory=dict)
     work_units: int = 0  # deterministic operation count (modeled time)
+
+    @property
+    def dropped(self) -> int:
+        return len(self.state.dropped)
+
+    @property
+    def satisfied(self) -> int:
+        return len(self.state.scenario.requests) - self.dropped
+
+    @property
+    def migrations(self) -> int:
+        return self.state.migrations
+
+    @property
+    def instances_launched(self) -> int:
+        return self.state.instances_launched
+
+    @property
+    def total_resources_used(self) -> float:
+        return self.state.resources_used
+
+    @property
+    def total_cost(self) -> float:
+        return self.state.cost_accrued
+
+    @property
+    def total_link_delay(self) -> float:
+        return sum(b.link_delay for b in self.breakdown.values())
+
+    @property
+    def total_compute_delay(self) -> float:
+        return sum(b.compute_delay for b in self.breakdown.values())
+
+    @property
+    def total_migration_delay(self) -> float:
+        return sum(b.migration_delay for b in self.breakdown.values())
 
     @property
     def total_delay(self) -> float:
@@ -442,27 +471,10 @@ class _Run:
                 heapq.heappush(
                     expiry,
                     (request.arrival_time + request.holding_time, request.id))
-        wall = time.perf_counter() - t0
-        return self._result(len(ordered), wall)
-
-    def _result(self, total, wall) -> PlacementResult:
-        st = self.state
-        link_d = sum(b.link_delay for b in self.breakdown.values())
-        comp_d = sum(b.compute_delay for b in self.breakdown.values())
-        mig_d = sum(b.migration_delay for b in self.breakdown.values())
         return PlacementResult(
-            kind=self.config.kind,
-            state=st,
-            satisfied=total - len(st.dropped),
-            dropped=len(st.dropped),
-            migrations=st.migrations,
-            instances_launched=st.instances_launched,
-            total_resources_used=st.resources_used,
-            total_cost=st.cost_accrued,
-            wall_time=wall,
-            total_link_delay=link_d,
-            total_compute_delay=comp_d,
-            total_migration_delay=mig_d,
+            kind=cfg.kind,
+            state=self.state,
+            wall_time=time.perf_counter() - t0,
             first_drop_index=self.first_drop_index,
             breakdown=self.breakdown,
             work_units=self.work,

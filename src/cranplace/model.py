@@ -267,7 +267,7 @@ class Scenario:
         check_count("k_paths", self.k_paths, 1)
         # the generator's seed, which `compare` and `sweep` also seed the
         # heuristics with; `random.Random` takes any int, negative too
-        seed = self.params.get("seed", 0)
+        seed = self.setting("seed")
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ScenarioError(f"seed must be an integer, not {seed!r}")
         if not self.resource_cap_total >= 0:

@@ -6,6 +6,7 @@ that start from one."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import StabilityViolation
@@ -17,10 +18,10 @@ class QueueLoad:
     service_rate: float  # packets/s
 
     def __post_init__(self):
-        if not self.service_rate > 0:
-            raise ValueError("service_rate must be positive")
-        if not self.arrival_rate >= 0:
-            raise ValueError("arrival_rate must be non-negative")
+        if not 0.0 < self.service_rate < math.inf:
+            raise ValueError("service_rate must be finite and positive")
+        if not 0.0 <= self.arrival_rate < math.inf:
+            raise ValueError("arrival_rate must be finite and non-negative")
 
     @property
     def utilization(self) -> float:
@@ -30,10 +31,10 @@ class QueueLoad:
 def mm1(psi: float, upsilon: float) -> float:
     """Mean sojourn time (seconds) of an M/M/1 queue with arrival rate
     `psi` and service rate `upsilon` (packets/s): (1/mu) / (1 - rho)."""
-    if not upsilon > 0:
-        raise ValueError("service_rate must be positive")
-    if not psi >= 0:
-        raise ValueError("arrival_rate must be non-negative")
+    if not 0.0 < upsilon < math.inf:
+        raise ValueError("service_rate must be finite and positive")
+    if not 0.0 <= psi < math.inf:
+        raise ValueError("arrival_rate must be finite and non-negative")
     rho = psi / upsilon
     if rho >= 1.0:
         raise StabilityViolation(
@@ -45,10 +46,10 @@ def md1(lam: float, mu: float) -> float:
     """Mean sojourn time (seconds) of an M/D/1 queue with arrival rate
     `lam` and service rate `mu` (packets/s):
     (1 / 2mu) * (2 - rho) / (1 - rho)."""
-    if not mu > 0:
-        raise ValueError("service_rate must be positive")
-    if not lam >= 0:
-        raise ValueError("arrival_rate must be non-negative")
+    if not 0.0 < mu < math.inf:
+        raise ValueError("service_rate must be finite and positive")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("arrival_rate must be finite and non-negative")
     rho = lam / mu
     if rho >= 1.0:
         raise StabilityViolation(

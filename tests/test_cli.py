@@ -132,6 +132,13 @@ class TestExitCodes:
                      "--mu", "1.0", "--packets", "3"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("rho, mu", [("0.5", "inf"), ("inf", "1.0")])
+    def test_infinite_simulate_rate_is_two(self, rho, mu, capsys):
+        assert main(["simulate", "--discipline", "md1", "--rho", rho,
+                     "--mu", mu, "--packets", "1000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_unknown_scenario_key_is_two(self, tmp_path, capsys):
         data = scenario_to_dict(micro_scenario(2))
         data["requests"][0]["holding_tme"] = 0.008

@@ -20,7 +20,6 @@ class TestSingleQueue:
         load = QueueLoad(rho, 1.0)
         r = simulate_queue(MD1, load, N, seed=1)
         assert r.mean_sojourn == pytest.approx(md1_delay(load), rel=0.05)
-        assert r.drops == 0
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.8])
     def test_mm1_matches_closed_form(self, rho):
@@ -48,13 +47,19 @@ class TestSingleQueue:
         r = simulate_queue(MD1, load, N, seed=2)
         assert abs(r.mean_sojourn - md1_delay(load)) < 3 * r.ci95_halfwidth
 
-    def test_tiny_buffer_drops(self):
-        load = QueueLoad(0.8, 1.0)
-        r = simulate_queue(MM1, load, 20_000, buffer_bytes=2 * 500.0, seed=0)
-        assert r.drops > 0
-        assert r.packets_served + r.drops == 20_000
-        # with only two buffer slots the survivors wait less
-        assert r.mean_sojourn < mm1_delay(load)
+    @pytest.mark.parametrize("discipline, rho, seed, expected", [
+        (MD1, 0.5, 9, (1.50611746896442, 0.01880487621313241,
+                       0.7498337543174521)),
+        (MM1, 0.8, 1, (5.068112410980992, 0.3475842879033134,
+                       4.011834888816384)),
+    ])
+    def test_pinned_results(self, discipline, rho, seed, expected):
+        # bit-for-bit values of the single-queue simulator before it
+        # became a one-stage tandem
+        r = simulate_queue(discipline, QueueLoad(rho, 1.0), 50_000,
+                           seed=seed)
+        assert (r.mean_sojourn, r.ci95_halfwidth,
+                r.time_avg_in_system) == expected
 
     def test_validation(self):
         with pytest.raises(StabilityViolation):
@@ -79,11 +84,26 @@ class TestTandem:
                               seed=5)
         assert two.mean_sojourn > one.mean_sojourn
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_equal_md1_stages_take_at_least_their_services(self, k):
+        # every packet is served once per stage, for 1/mu each
+        mu = 2.0
+        r = simulate_tandem([QueueLoad(1.0, mu)] * k, MD1, 50_000, seed=7)
+        assert r.mean_sojourn >= k / mu
+
+    def test_littles_law_on_two_stages(self):
+        loads = [QueueLoad(0.5, 1.0), QueueLoad(0.5, 0.8)]
+        r = simulate_tandem(loads, MM1, N, seed=8)
+        assert r.time_avg_in_system == pytest.approx(
+            loads[0].arrival_rate * r.mean_sojourn, rel=0.05)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simulate_tandem([], MD1, 1000)
         with pytest.raises(StabilityViolation):
             simulate_tandem([QueueLoad(2.0, 1.0)], MD1, 1000)
+        with pytest.raises(ValueError):
+            simulate_tandem([QueueLoad(0.5, 1.0)], MD1, 5)
 
 
 class TestNumericalHygiene:

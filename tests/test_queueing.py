@@ -24,6 +24,14 @@ class TestQueueLoad:
         with pytest.raises(ValueError):
             QueueLoad(math.nan, 1.0)
 
+    def test_infinite_rates_are_rejected(self):
+        # the kernels validate as QueueLoad does (TestKernels)
+        for make in (QueueLoad, md1, mm1):
+            with pytest.raises(ValueError, match="service_rate"):
+                make(1.0, math.inf)
+            with pytest.raises(ValueError, match="arrival_rate"):
+                make(math.inf, 1.0)
+
 
 class TestClosedForms:
     def test_mm1_known_values(self):
