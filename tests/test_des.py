@@ -54,8 +54,8 @@ class TestSingleQueue:
                        4.011834888816384)),
     ])
     def test_pinned_results(self, discipline, rho, seed, expected):
-        # bit-for-bit values of the single-queue simulator before it
-        # became a one-stage tandem
+        # bit for bit: any change to the arrival draw, the Lindley
+        # recursion or the per-stage sojourn sum shows here
         r = simulate_queue(discipline, QueueLoad(rho, 1.0), 50_000,
                            seed=seed)
         assert (r.mean_sojourn, r.ci95_halfwidth,
