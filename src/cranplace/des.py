@@ -48,14 +48,17 @@ def _lindley_departures(arrivals, services):
     return arrivals + waits + services, waits
 
 
+def _warmup(n_packets: int) -> int:
+    """The packets dropped from the head of a run before batching."""
+    return int(n_packets * _WARMUP_FRACTION)
+
+
 def _batch_stats(sojourns):
+    """Mean and 95% half-width over `_N_BATCHES` equal batches of the
+    post-warm-up tail, which `simulate_tandem` makes at least that long."""
     import numpy as np
-    n = len(sojourns)
-    warm = int(n * _WARMUP_FRACTION)
-    tail = sojourns[warm:]
+    tail = sojourns[_warmup(len(sojourns)):]
     usable = (len(tail) // _N_BATCHES) * _N_BATCHES
-    if usable < _N_BATCHES:
-        return float(np.mean(tail)), float("inf")
     batches = tail[:usable].reshape(_N_BATCHES, -1).mean(axis=1)
     mean = float(batches.mean())
     half = float(_T975_29 * batches.std(ddof=1) / np.sqrt(_N_BATCHES))
@@ -77,7 +80,7 @@ def _time_average_in_system(arrivals, departures):
     if horizon <= 0:
         return 0.0
     area = float(np.sum(counts[:-1] * np.diff(times)))
-    return area / horizon
+    return float(area / horizon)
 
 
 def simulate_queue(discipline: str, load: QueueLoad, n_packets: int,
@@ -102,8 +105,10 @@ def simulate_tandem(links, discipline: str, n_packets: int,
     lam = loads[0].arrival_rate
     if lam <= 0:
         raise ValueError("arrival_rate must be positive to generate traffic")
-    if n_packets < _N_BATCHES:
-        raise ValueError(f"need at least {_N_BATCHES} packets")
+    tail = n_packets - _warmup(n_packets)
+    if tail < _N_BATCHES:
+        raise ValueError(f"{n_packets} packets leave {tail} after the "
+                         f"warm-up, fewer than the {_N_BATCHES} batches")
     rng = np.random.default_rng(seed)
     arrivals = np.cumsum(rng.exponential(1.0 / lam, size=n_packets))
     departures = arrivals

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BudgetExceeded, InfeasibleError, StabilityViolation
 from .model import CLOUD, CapacityVector, Scenario, capacity_fits, demand_of
-from .paths import build_sorted_lists
+from .paths import PathEntry, build_sorted_lists
 from .state import PlacementState, can_launch, projected_delay, sla_limit
 
 _EPS = 1e-9
@@ -67,12 +68,43 @@ def least_delay(state: PlacementState, request, entries) -> float:
                default=math.inf)
 
 
-def score_child(state: PlacementState, limits: dict[int, float], request,
+def _raise_loads(state, entry, rate) -> tuple:
+    """Raise the loads of `entry`'s links and cloud by `rate` as `admit`
+    raises them; returns what `_restore_loads` needs to put them back."""
+    link_load = state.link_load
+    cloud_load = state.cloud_load
+    saved = [(key, link_load.get(key)) for key in entry.link_keys]
+    saved_psi = cloud_load.get(entry.cloud)
+    for key in entry.link_keys:
+        link_load[key] = link_load.get(key, 0.0) + rate
+    cloud_load[entry.cloud] = cloud_load.get(entry.cloud, 0.0) + rate
+    return saved, saved_psi
+
+
+def _restore_loads(state, entry, saved) -> None:
+    """Put back the loads `_raise_loads` raised, a key that was absent
+    deleted, so that the load dicts keep their items in their order."""
+    link_saved, saved_psi = saved
+    link_load = state.link_load
+    for key, old in reversed(link_saved):
+        if old is None:
+            link_load.pop(key, None)
+        else:
+            link_load[key] = old
+    if saved_psi is None:
+        del state.cloud_load[entry.cloud]
+    else:
+        state.cloud_load[entry.cloud] = saved_psi
+
+
+def score_child(state, limits: dict[int, float], request,
                 entry, later) -> tuple[float | None, float]:
     """(partial objective, bound) of the search child that admits `request`
     on `entry`, scored on `state` itself. The child's value depends only on
-    its loads, so it is the same on any instance at the entry's cloud,
-    launched or not.
+    its loads and paths, so it is the same under any instance choice.
+    `state` is a `PlacementState` or anything with its `scenario`,
+    `link_load`, `cloud_load` and `allocations` (whose values need only a
+    `path`).
 
     The new request's term is its `projected_delay` on `state`, which is
     the delay it has once admitted. The loads are then raised by its rate
@@ -80,26 +112,16 @@ def score_child(state: PlacementState, limits: dict[int, float], request,
     requests are summed by `evaluate_node` and the new request's term is
     added last, as the child's allocation order has it. The bound adds
     each `later` (request, its origin's entries) pair's `least_delay`.
-    Every raised load is then put back, a key that was absent deleted, so
-    `state` keeps its items in their order. (None, inf) when the entry is
+    Every raised load is then put back. (None, inf) when the entry is
     unstable, or when an admitted request, the new one included, would be
     over its SLA limit."""
-    rate = request.rate_pps
-    delays = projected_delay(state, entry, rate)
+    delays = projected_delay(state, entry, request.rate_pps)
     if delays is None:
         return None, math.inf
     delay = delays[0] + delays[1]
     if delay > limits[request.id]:
         return None, math.inf
-    link_load = state.link_load
-    cloud_load = state.cloud_load
-    links = entry.link_keys
-    cloud = entry.cloud
-    saved = [(key, link_load.get(key)) for key in links]
-    saved_psi = cloud_load.get(cloud)
-    for key in links:
-        link_load[key] = link_load.get(key, 0.0) + rate
-    cloud_load[cloud] = cloud_load.get(cloud, 0.0) + rate
+    saved = _raise_loads(state, entry, request.rate_pps)
     try:
         obj = evaluate_node(state, limits)
         if obj is None:
@@ -110,15 +132,7 @@ def score_child(state: PlacementState, limits: dict[int, float], request,
             bound += least_delay(state, other, entries)
         return obj, bound
     finally:
-        for key, old in reversed(saved):
-            if old is None:
-                link_load.pop(key, None)
-            else:
-                link_load[key] = old
-        if saved_psi is None:
-            del cloud_load[cloud]
-        else:
-            cloud_load[cloud] = saved_psi
+        _restore_loads(state, entry, saved)
 
 
 def check_cloud_capacity(state, scenario):
@@ -274,7 +288,7 @@ class ExactBudget:
     max_bs: int = 4
     max_clouds: int = 3
     max_vm_types: int = 2
-    max_requests: int = 8
+    max_requests: int = 10
     max_paths: int = 3
 
 
@@ -293,32 +307,100 @@ def _enforce_budget(scenario: Scenario, budget: ExactBudget):
                                  f"budget of {limit}")
 
 
+def _choices(state: PlacementState, demand, entry, catalog) -> list:
+    """(choice, VM type to launch or None) for every instance that can take
+    a request of `demand` at the entry's cloud, in step order: the VM types
+    of `catalog` (sorted by name) that fit and can launch, then fitting
+    live instances in id order."""
+    deg = state.scenario.degradation_fraction
+    out = [(("new", vm.name), vm) for vm in catalog
+           if capacity_fits(demand, vm.capacity, deg)
+           and can_launch(state, entry.cloud, vm)]
+    for iid in sorted(iid for _, iid in state.residual_index[entry.cloud]):
+        if capacity_fits(demand, state.instances[iid].residual, deg):
+            out.append((("use", iid), None))
+    return out
+
+
+def pack_instances(scenario: Scenario, requests, paths) -> list | None:
+    """The least assignment vector that admits each of `requests` on the
+    path entry at its index in `paths`, or None when no instance sequence
+    fits. A depth-first search over `_choices` on one state, each choice
+    undone by `rollback`; it visits the choices in step order, so the
+    first complete sequence it finds is the least."""
+    catalog = sorted(scenario.vm_catalog, key=lambda v: v.name)
+    state = PlacementState(scenario)
+    vec = []
+
+    def place(depth):
+        if depth == len(requests):
+            return True
+        request, entry = requests[depth], paths[depth]
+        for choice, vm in _choices(state, state.demand(request), entry,
+                                   catalog):
+            mark = state.checkpoint()
+            if vm is not None:
+                iid = state.launch_instance(entry.cloud, vm).id
+            else:
+                iid = choice[1]
+            state.admit(request, iid, entry)
+            vec.append((entry.cloud, entry.id) + choice)
+            if place(depth + 1):
+                return True
+            vec.pop()
+            state.rollback(mark)
+        return False
+
+    return vec if place(0) else None
+
+
+class _Routed(NamedTuple):
+    """A path-search node's record of an admitted request: its path entry,
+    the one field of an `Allocation` that `evaluate_node` reads."""
+    path: PathEntry
+
+
+class _PathNode:
+    """A node of the path search: the scenario, the loads and each admitted
+    request's path in admission order; what `score_child` reads of a
+    `PlacementState`, and nothing of instances."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.link_load: dict[tuple[str, str], float] = {}
+        self.cloud_load: dict[str, float] = {}
+        self.allocations: dict[int, _Routed] = {}
+
+
 def solve_exact(scenario: Scenario,
                 budget: ExactBudget | None = None) -> PlacementState:
     """Optimal placement by depth-first branch and bound; ties broken by
     the lexicographically smallest assignment vector. Every request must
     be placed.
 
-    A node's bound is its partial objective plus, for each request still
-    to place, its `least_delay` at the node's loads. A node is pruned when
-    the bound exceeds the incumbent, or when a request still to place has
-    no stable path left. The bound never exceeds the objective of a
-    placement below the node, so no node that could tie or beat the
-    incumbent is pruned and the optimum and its tie-break are those of
-    the unbounded search.
+    The delay objective reads only paths and loads, so the bound runs
+    over path entries alone, on one `_PathNode` whose loads are raised on
+    the way down and put back on the way up. A node's children are scored
+    by `score_child` on the node itself, once per entry. A node's bound is
+    its partial objective plus, for each request still to place, its
+    `least_delay` at the node's loads. A node is pruned when the bound
+    exceeds the incumbent, or when a request still to place has no stable
+    path left. The bound never exceeds the objective of a placement below
+    the node, so no node that could tie or beat the incumbent is pruned
+    and the optimum and its tie-break are those of the unbounded search.
+    Capacity prunes an entry only when its cloud could host none of the
+    request's instances even on the empty state: no VM type there holds
+    the request's degraded demand and can launch.
 
-    A node's children are scored by `score_child` on the node's own
-    state, once per entry with an instance choice, and that score serves
-    every instance choice on the entry. A leaf is compared with the
-    incumbent from its score alone; only a child the search descends into
-    is cloned."""
+    At a path leaf that can tie or beat the incumbent, `pack_instances`
+    finds the least instance sequence for the leaf's paths; a leaf with
+    none is skipped. Vectors of one path sequence differ only in their
+    instance steps, so the least of all the vectors at a tied objective is
+    some tied path sequence's least packing."""
     budget = budget or ExactBudget()
     _enforce_budget(scenario, budget)
     lists = build_sorted_lists(scenario.topology, scenario.k_paths)
     requests = sorted(scenario.requests, key=lambda r: r.id)
-    deg = scenario.degradation_fraction
-    catalog = sorted(scenario.vm_catalog, key=lambda v: (v.hourly_cost,
-                                                         v.name))
     limits = sla_limits(scenario)
     best: dict = ({"obj": None, "vec": None} if requests
                   else {"obj": 0.0, "vec": []})
@@ -330,60 +412,49 @@ def solve_exact(scenario: Scenario,
     # per depth, each request placed after it with its origin's paths
     later = [[(r, by_origin[r.origin]) for r in requests[depth + 1:]]
              for depth in range(len(requests))]
+    # per request, the clouds where some VM type holds its degraded
+    # demand and can launch on the empty state
+    empty = PlacementState(scenario)
+    deg = scenario.degradation_fraction
+    hosts = {r.id: {c.id for c in scenario.topology.clouds()
+                    if any(capacity_fits(empty.demand(r), vm.capacity, deg)
+                           and can_launch(empty, c.id, vm)
+                           for vm in scenario.vm_catalog)}
+             for r in requests}
+    node = _PathNode(scenario)
 
-    def choices(state, demand, entry):
-        """(choice, VM type to launch or None) for every instance that can
-        take the request at the entry's cloud: fitting live instances in
-        id order, then launchable VM types in catalog order."""
-        out = []
-        for iid in sorted(iid for _, iid in
-                          state.residual_index[entry.cloud]):
-            if capacity_fits(demand, state.instances[iid].residual, deg):
-                out.append((("use", iid), None))
-        for vm in catalog:
-            if capacity_fits(demand, vm.capacity, deg) \
-                    and can_launch(state, entry.cloud, vm):
-                out.append((("new", vm.name), vm))
-        return out
-
-    def recurse(state, depth, vec):
-        """Search below `state`, whose admitted requests all meet their
-        SLA; `vec` is its assignment vector."""
+    def search(depth):
+        """Search below `node`, whose admitted requests all meet their
+        SLA."""
         request = requests[depth]
         leaf = depth == len(requests) - 1
-        demand = state.demand(request)
         for entry in by_origin[request.origin]:
-            options = choices(state, demand, entry)
-            if not options:
+            if entry.cloud not in hosts[request.id]:
                 continue
-            obj, bound = score_child(state, limits, request, entry,
+            obj, bound = score_child(node, limits, request, entry,
                                      later[depth])
             if bound == math.inf:
                 continue
-            for choice, vm in options:
-                step = (entry.cloud, entry.id) + choice
-                incumbent = best["obj"]
-                if leaf:
-                    if incumbent is None or obj < incumbent - 1e-15 \
-                            or (abs(obj - incumbent) <= 1e-15
-                                and vec + [step] < best["vec"]):
+            incumbent = best["obj"]
+            if leaf:
+                if incumbent is None or obj < incumbent - 1e-15 \
+                        or abs(obj - incumbent) <= 1e-15:
+                    paths = [a.path for a in node.allocations.values()]
+                    vec = pack_instances(scenario, requests, paths + [entry])
+                    if vec is not None and (incumbent is None
+                                            or obj < incumbent - 1e-15
+                                            or vec < best["vec"]):
                         best["obj"] = obj
-                        best["vec"] = vec + [step]
-                    continue
-                if incumbent is not None and bound > incumbent + 1e-15:
-                    continue
-                work = state.clone()
-                if vm is not None:
-                    iid = work.launch_instance(entry.cloud, vm).id
-                else:
-                    iid = choice[1]
-                work.admit(request, iid, entry)
-                vec.append(step)
-                recurse(work, depth + 1, vec)
-                vec.pop()
+                        best["vec"] = vec
+            elif incumbent is None or bound <= incumbent + 1e-15:
+                saved = _raise_loads(node, entry, request.rate_pps)
+                node.allocations[request.id] = _Routed(entry)
+                search(depth + 1)
+                del node.allocations[request.id]
+                _restore_loads(node, entry, saved)
 
     if requests:
-        recurse(PlacementState(scenario), 0, [])
+        search(0)
     if best["vec"] is None:
         raise InfeasibleError("no feasible placement of all requests")
 

@@ -69,6 +69,18 @@ class TestSingleQueue:
         with pytest.raises(ValueError):
             simulate_queue("GG1", QueueLoad(0.5, 1.0), 1000)
 
+    def test_least_run_forms_every_batch(self):
+        # the 10% warm-up leaves 29 of 32 packets, 30 of 33
+        load = QueueLoad(0.5, 1.0)
+        with pytest.raises(ValueError):
+            simulate_queue(MD1, load, 32)
+        assert np.isfinite(simulate_queue(MD1, load, 33).ci95_halfwidth)
+
+    def test_result_fields_are_floats(self):
+        r = simulate_queue(MM1, QueueLoad(0.5, 1.0), 1000, seed=1)
+        assert [type(v) for v in (r.mean_sojourn, r.ci95_halfwidth,
+                                  r.time_avg_in_system)] == [float] * 3
+
 
 class TestTandem:
     def test_single_stage_equals_queue(self):

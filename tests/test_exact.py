@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cranplace import exact
 from cranplace.errors import (BudgetExceeded, CranplaceError, InfeasibleError,
                               StabilityViolation)
 from cranplace.exact import (CONSTRAINTS, ExactBudget, evaluate_constraints,
@@ -174,7 +175,7 @@ class TestSolveExact:
     def test_budget_enforced(self, tiny_scenario):
         reqs = [ServiceRequest(i, tiny_scenario.requests[0].origin,
                                "physical", 1000.0, 500.0,
-                               holding_time=0.008) for i in range(9)]
+                               holding_time=0.008) for i in range(11)]
         with pytest.raises(BudgetExceeded):
             solve_exact(with_requests(tiny_scenario, reqs))
 
@@ -226,19 +227,21 @@ class TestSolveExact:
             == want_alloc
 
 
-def oracle_scenario(seed):
+def oracle_scenario(seed, n_requests=None):
     """`micro_scenario(5)`'s topology (4 base stations, 3 clouds), VM
-    types and classes, under 6 or 7 seeded requests."""
+    types and classes, under `n_requests` seeded requests, or 6 or 7."""
     base = micro_scenario(5)
     rng = random.Random(seed)
     n_bs = len(base.topology.base_stations())
+    if n_requests is None:
+        n_requests = rng.randint(6, 7)
     requests = [
         ServiceRequest(
             id=i, origin=bs_node_id(rng.randrange(n_bs), n_bs),
             class_name=rng.choice(base.classes).name,
             volume_packets=1000.0, packet_size_bytes=500.0,
             arrival_time=0.001 * i, holding_time=0.008)
-        for i in range(rng.randint(6, 7))]
+        for i in range(n_requests)]
     return with_requests(base, requests)
 
 
@@ -298,6 +301,25 @@ class TestLargerOracle:
         assert [(rid, a.cloud, a.instance_id, a.path_id)
                 for rid, a in sorted(state.allocations.items())] \
             == want_alloc
+
+    def test_pinned_ten_request_optimum(self):
+        # as the search before paths-first found it, with its budget
+        # raised to 10 requests
+        scenario = oracle_scenario(3, n_requests=10)
+        state = solve_exact(scenario)
+        assert repr(objective(state, scenario)) == "1.4127937132858395e-06"
+        assert [(rid, a.cloud, a.instance_id, a.path_id)
+                for rid, a in sorted(state.allocations.items())] == [
+            (0, "cloud0", 0, "agg0=>cloud0#0"),
+            (1, "cloud1", 1, "agg1=>cloud1#0"),
+            (2, "cloud0", 2, "agg0=>cloud0#0"),
+            (3, "cloud1", 3, "agg1=>cloud1#0"),
+            (4, "cloud0", 0, "agg0=>cloud0#0"),
+            (5, "cloud1", 1, "agg1=>cloud1#0"),
+            (6, "cloud1", 1, "agg1=>cloud1#0"),
+            (7, "cloud0", 0, "agg0=>cloud0#0"),
+            (8, "cloud1", 3, "agg1=>cloud1#0"),
+            (9, "cloud0", 0, "agg0=>cloud0#0")]
 
 
 def _reference_node_value(state, scenario):
@@ -653,26 +675,69 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
                             want)
 
 
-def test_leaves_are_never_cloned(monkeypatch):
-    depths = []
+def test_paths_are_scored_once_and_only_winnable_leaves_packed(monkeypatch):
+    """The path search scores each (path prefix, entry) child at most once
+    and clones no state. Packing runs only at path leaves within 1e-15 of
+    the incumbent or better, and the incumbent rule over the packed
+    vectors gives the placement returned."""
+    scored = []    # (path ids of the prefix and the entry, objective)
+    packed = []    # (leaf objective, packed vector or None)
+    clones = []
+    score = exact.score_child
+    pack = exact.pack_instances
     clone = PlacementState.clone
 
+    def recording_score(state, limits, request, entry, later):
+        result = score(state, limits, request, entry, later)
+        scored.append((tuple(a.path.id for a in state.allocations.values())
+                       + (entry.id,), result[0]))
+        return result
+
+    def recording_pack(scenario, requests, paths):
+        vec = pack(scenario, requests, paths)
+        packed.append((dict(scored)[tuple(e.id for e in paths)], vec))
+        return vec
+
     def counting_clone(state):
-        depths.append(len(state.allocations))
+        clones.append(state)
         return clone(state)
 
+    monkeypatch.setattr(exact, "score_child", recording_score)
+    monkeypatch.setattr(exact, "pack_instances", recording_pack)
     monkeypatch.setattr(PlacementState, "clone", counting_clone)
+    skipped = 0
     for make, seed in ((micro_scenario, 5), (micro_scenario, 24),
                        (oracle_scenario, 2)):
         scenario = make(seed)
-        depths.clear()
-        solve_exact(scenario)
-        assert depths   # the search descends below the root
-        assert max(depths) <= len(scenario.requests) - 2
+        scored.clear()
+        packed.clear()
+        state = solve_exact(scenario)
+        keys = [key for key, _ in scored]
+        assert len(keys) == len(set(keys))
+        incumbent = best = None
+        for obj, vec in packed:
+            assert incumbent is None or obj < incumbent - 1e-15 \
+                or abs(obj - incumbent) <= 1e-15
+            if vec is not None and (incumbent is None
+                                    or obj < incumbent - 1e-15
+                                    or vec < best):
+                incumbent, best = obj, vec
+        assert [(a.cloud, a.path_id)
+                for _, a in sorted(state.allocations.items())] \
+            == [step[:2] for step in best]
+        leaves = [key for key, obj in scored
+                  if len(key) == len(scenario.requests) and obj is not None]
+        skipped += len(leaves) - len(packed)
+    assert skipped > 0   # some leaf could not win and was not packed
     one = with_requests(micro_scenario(5), micro_scenario(5).requests[:1])
-    depths.clear()
+    scored.clear()
+    packed.clear()
     assert len(solve_exact(one).allocations) == 1
-    assert not depths
+    assert all(len(key) == 1 for key, _ in scored)
+    assert packed
+    scored.clear()
+    packed.clear()
     empty = solve_exact(with_requests(micro_scenario(5), []))
     assert not empty.allocations and not empty.instances
-    assert not depths
+    assert not scored and not packed
+    assert not clones
