@@ -162,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_generate)
 
-    p = sub.add_parser("solve-exact", help="exhaustive optimal placement")
+    p = sub.add_parser("solve-exact",
+                       help="optimal placement by branch and bound")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_solve_exact)

@@ -288,7 +288,7 @@ class ExactBudget:
     max_bs: int = 4
     max_clouds: int = 3
     max_vm_types: int = 2
-    max_requests: int = 10
+    max_requests: int = 12
     max_paths: int = 3
 
 
@@ -327,7 +327,13 @@ def pack_instances(scenario: Scenario, requests, paths) -> list | None:
     path entry at its index in `paths`, or None when no instance sequence
     fits. A depth-first search over `_choices` on one state, each choice
     undone by `rollback`; it visits the choices in step order, so the
-    first complete sequence it finds is the least."""
+    first complete sequence it finds is the least.
+
+    The result depends on `paths` only through their clouds: the choices,
+    launches and residuals are per cloud, and admission never reads a
+    path's links to accept or reject. Two path sequences with the same
+    clouds fit or fail together, and their least vectors differ only in
+    the path ids."""
     catalog = sorted(scenario.vm_catalog, key=lambda v: v.name)
     state = PlacementState(scenario)
     vec = []
@@ -352,6 +358,24 @@ def pack_instances(scenario: Scenario, requests, paths) -> list | None:
         return False
 
     return vec if place(0) else None
+
+
+def pack_leaf(packings: dict, scenario: Scenario, requests,
+              paths) -> list | None:
+    """`pack_instances(scenario, requests, paths)`, packed once per
+    sequence of the paths' clouds. `packings` maps each sequence packed so
+    far to the choice part of each step of its least vector, or to None
+    when it has none; a sequence met again gets its vector rebuilt from
+    that, each step led by its own (cloud, path id)."""
+    key = tuple(entry.cloud for entry in paths)
+    if key not in packings:
+        vec = pack_instances(scenario, requests, paths)
+        packings[key] = None if vec is None else [step[2:] for step in vec]
+    choices = packings[key]
+    if choices is None:
+        return None
+    return [(entry.cloud, entry.id) + choice
+            for entry, choice in zip(paths, choices)]
 
 
 class _Routed(NamedTuple):
@@ -386,17 +410,30 @@ def solve_exact(scenario: Scenario,
     `least_delay` at the node's loads. A node is pruned when the bound
     exceeds the incumbent, or when a request still to place has no stable
     path left. The bound never exceeds the objective of a placement below
-    the node, so no node that could tie or beat the incumbent is pruned
-    and the optimum and its tie-break are those of the unbounded search.
+    the node, so no node that could tie or beat the incumbent is pruned.
     Capacity prunes an entry only when its cloud could host none of the
     request's instances even on the empty state: no VM type there holds
     the request's degraded demand and can launch.
+
+    A node scores all its children first, then visits them best bound
+    first: in ascending (bound, entry order), stopping at the first whose
+    bound exceeds the incumbent by more than 1e-15, since every later one
+    does too. The order only speeds the search up: a good incumbent is
+    found early and prunes more, but no node that could tie or beat it is
+    pruned, and tied leaves are compared by vector, so the winner is the
+    least vector at the optimum in any order, that of the unbounded
+    search. The one case where the order could matter is a chain of
+    leaves each within 1e-15 of the next but more than 1e-15 apart end to
+    end.
 
     At a path leaf that can tie or beat the incumbent, `pack_instances`
     finds the least instance sequence for the leaf's paths; a leaf with
     none is skipped. Vectors of one path sequence differ only in their
     instance steps, so the least of all the vectors at a tied objective is
-    some tied path sequence's least packing."""
+    some tied path sequence's least packing. Packing reads the paths only
+    through their clouds, so `pack_leaf` packs each sequence of leaf
+    clouds once per solve and rebuilds the vector of a later leaf with the
+    same clouds."""
     budget = budget or ExactBudget()
     _enforce_budget(scenario, budget)
     lists = build_sorted_lists(scenario.topology, scenario.k_paths)
@@ -422,31 +459,38 @@ def solve_exact(scenario: Scenario,
                            for vm in scenario.vm_catalog)}
              for r in requests}
     node = _PathNode(scenario)
+    packings: dict = {}
 
     def search(depth):
         """Search below `node`, whose admitted requests all meet their
         SLA."""
         request = requests[depth]
         leaf = depth == len(requests) - 1
-        for entry in by_origin[request.origin]:
+        children = []
+        for index, entry in enumerate(by_origin[request.origin]):
             if entry.cloud not in hosts[request.id]:
                 continue
             obj, bound = score_child(node, limits, request, entry,
                                      later[depth])
-            if bound == math.inf:
-                continue
+            if bound != math.inf:
+                children.append((bound, index, obj, entry))
+        children.sort(key=lambda child: child[:2])
+        for bound, _, obj, entry in children:
             incumbent = best["obj"]
+            if incumbent is not None and bound > incumbent + 1e-15:
+                break
             if leaf:
                 if incumbent is None or obj < incumbent - 1e-15 \
                         or abs(obj - incumbent) <= 1e-15:
                     paths = [a.path for a in node.allocations.values()]
-                    vec = pack_instances(scenario, requests, paths + [entry])
+                    vec = pack_leaf(packings, scenario, requests,
+                                    paths + [entry])
                     if vec is not None and (incumbent is None
                                             or obj < incumbent - 1e-15
                                             or vec < best["vec"]):
                         best["obj"] = obj
                         best["vec"] = vec
-            elif incumbent is None or bound <= incumbent + 1e-15:
+            else:
                 saved = _raise_loads(node, entry, request.rate_pps)
                 node.allocations[request.id] = _Routed(entry)
                 search(depth + 1)

@@ -175,7 +175,7 @@ class TestSolveExact:
     def test_budget_enforced(self, tiny_scenario):
         reqs = [ServiceRequest(i, tiny_scenario.requests[0].origin,
                                "physical", 1000.0, 500.0,
-                               holding_time=0.008) for i in range(11)]
+                               holding_time=0.008) for i in range(13)]
         with pytest.raises(BudgetExceeded):
             solve_exact(with_requests(tiny_scenario, reqs))
 
@@ -249,10 +249,15 @@ class TestLargerOracle:
     """The exact oracle beyond criterion 2's 4 requests, where instances
     are shared and heuristics miss the optimum more often."""
 
-    def test_static_heuristics_are_bounded_by_the_optimum(self):
+    @staticmethod
+    def _above_optimum(seeds, n_requests=None):
+        """How many static heuristic placements are above the optimum on
+        `oracle_scenario(seed, n_requests)` for each of `seeds`, after
+        checking that each places every request feasibly and none is
+        below it."""
         above = 0
-        for seed in range(12):
-            scenario = oracle_scenario(seed)
+        for seed in seeds:
+            scenario = oracle_scenario(seed, n_requests)
             opt = objective(solve_exact(scenario), scenario)
             for kind in ALL_KINDS:
                 res = place(scenario, HeuristicConfig(kind, seed=seed,
@@ -264,7 +269,14 @@ class TestLargerOracle:
                 obj = objective(res.state, scenario)
                 assert obj >= opt - 1e-12, (seed, kind, obj, opt)
                 above += obj > opt
-        assert above > 0   # the batch can tell a heuristic from the oracle
+        return above
+
+    def test_static_heuristics_are_bounded_by_the_optimum(self):
+        # the batch can tell a heuristic from the oracle
+        assert self._above_optimum(range(12)) > 0
+
+    def test_static_heuristics_are_bounded_at_twelve_requests(self):
+        assert self._above_optimum((1, 2, 6), n_requests=12) > 0
 
     # seed: objective repr, (request, cloud, instance, path) per request,
     # as the unbounded search finds them; 2 and 3 tie on the objective
@@ -320,6 +332,27 @@ class TestLargerOracle:
             (7, "cloud0", 0, "agg0=>cloud0#0"),
             (8, "cloud1", 3, "agg1=>cloud1#0"),
             (9, "cloud0", 0, "agg0=>cloud0#0")]
+
+    def test_pinned_twelve_request_optimum(self):
+        # as the search that visited children in entry order found it,
+        # with its budget raised to 12 requests
+        scenario = oracle_scenario(3, n_requests=12)
+        state = solve_exact(scenario)
+        assert repr(objective(state, scenario)) == "1.7068560457646882e-06"
+        assert [(rid, a.cloud, a.instance_id, a.path_id)
+                for rid, a in sorted(state.allocations.items())] == [
+            (0, "cloud0", 0, "agg0=>cloud0#0"),
+            (1, "cloud1", 1, "agg1=>cloud1#0"),
+            (2, "cloud0", 2, "agg0=>cloud0#0"),
+            (3, "cloud1", 3, "agg1=>cloud1#0"),
+            (4, "cloud0", 0, "agg0=>cloud0#0"),
+            (5, "cloud1", 1, "agg1=>cloud1#0"),
+            (6, "cloud1", 1, "agg1=>cloud1#0"),
+            (7, "cloud0", 0, "agg0=>cloud0#0"),
+            (8, "cloud1", 3, "agg1=>cloud1#0"),
+            (9, "cloud0", 0, "agg0=>cloud0#0"),
+            (10, "cloud0", 0, "agg0=>cloud0#0"),
+            (11, "cloud0", 2, "agg0=>cloud0#0")]
 
 
 def _reference_node_value(state, scenario):
@@ -677,25 +710,36 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
 
 def test_paths_are_scored_once_and_only_winnable_leaves_packed(monkeypatch):
     """The path search scores each (path prefix, entry) child at most once
-    and clones no state. Packing runs only at path leaves within 1e-15 of
-    the incumbent or better, and the incumbent rule over the packed
-    vectors gives the placement returned."""
-    scored = []    # (path ids of the prefix and the entry, objective)
-    packed = []    # (leaf objective, packed vector or None)
+    and clones no state. A node's children are visited (descended into or
+    packed) in ascending (bound, entry order), and those visited are the
+    first of that order. Packing runs only at path leaves within 1e-15 of
+    the incumbent or better, each sequence of leaf clouds is packed once,
+    a leaf's vector is the one `pack_instances` finds for it, and the
+    incumbent rule over the packed vectors gives the placement returned."""
+    events = []    # ("score", path ids of prefix and entry, (obj, bound))
+    #                or ("leaf", path ids of the leaf, vector or None)
+    packed = []    # cloud sequence of each `pack_instances` call
     clones = []
     score = exact.score_child
     pack = exact.pack_instances
+    pack_leaf = exact.pack_leaf
     clone = PlacementState.clone
 
     def recording_score(state, limits, request, entry, later):
         result = score(state, limits, request, entry, later)
-        scored.append((tuple(a.path.id for a in state.allocations.values())
-                       + (entry.id,), result[0]))
+        events.append(("score", tuple(a.path.id for a in
+                                      state.allocations.values())
+                       + (entry.id,), result))
         return result
 
     def recording_pack(scenario, requests, paths):
-        vec = pack(scenario, requests, paths)
-        packed.append((dict(scored)[tuple(e.id for e in paths)], vec))
+        packed.append(tuple(e.cloud for e in paths))
+        return pack(scenario, requests, paths)
+
+    def recording_leaf(packings, scenario, requests, paths):
+        vec = pack_leaf(packings, scenario, requests, paths)
+        assert vec == pack(scenario, requests, paths)
+        events.append(("leaf", tuple(e.id for e in paths), vec))
         return vec
 
     def counting_clone(state):
@@ -704,18 +748,42 @@ def test_paths_are_scored_once_and_only_winnable_leaves_packed(monkeypatch):
 
     monkeypatch.setattr(exact, "score_child", recording_score)
     monkeypatch.setattr(exact, "pack_instances", recording_pack)
+    monkeypatch.setattr(exact, "pack_leaf", recording_leaf)
     monkeypatch.setattr(PlacementState, "clone", counting_clone)
-    skipped = 0
-    for make, seed in ((micro_scenario, 5), (micro_scenario, 24),
-                       (oracle_scenario, 2)):
-        scenario = make(seed)
-        scored.clear()
+    skipped = hits = 0
+    # on the last, two leaves share their clouds with one packed before
+    for scenario in (micro_scenario(5), micro_scenario(24), oracle_scenario(2),
+                     oracle_scenario(38, n_requests=9)):
+        events.clear()
         packed.clear()
         state = solve_exact(scenario)
+        scored = [(key, result) for kind, key, result in events
+                  if kind == "score"]
+        leaves = [(key, vec) for kind, key, vec in events if kind == "leaf"]
         keys = [key for key, _ in scored]
         assert len(keys) == len(set(keys))
+        assert len(packed) == len(set(packed))
+        hits += len(leaves) - len(packed)
+        # per node, its children's (bound, entry order) as scored, and
+        # the children it visited, in the order of their first event
+        rank = {}
+        for key, (_, bound) in scored:
+            kids = rank.setdefault(key[:-1], {})
+            kids[key[-1]] = (bound, len(kids))
+        visited = {}
+        for kind, key, _ in events:
+            reached = key[:-1] if kind == "score" else key
+            for depth in range(len(reached)):
+                kids = visited.setdefault(reached[:depth], [])
+                if reached[depth] not in kids:
+                    kids.append(reached[depth])
+        for prefix, kids in visited.items():
+            got = [rank[prefix][kid] for kid in kids]
+            assert got == sorted(rank[prefix].values())[:len(got)]
+        values = dict(scored)
         incumbent = best = None
-        for obj, vec in packed:
+        for key, vec in leaves:
+            obj = values[key][0]
             assert incumbent is None or obj < incumbent - 1e-15 \
                 or abs(obj - incumbent) <= 1e-15
             if vec is not None and (incumbent is None
@@ -725,19 +793,19 @@ def test_paths_are_scored_once_and_only_winnable_leaves_packed(monkeypatch):
         assert [(a.cloud, a.path_id)
                 for _, a in sorted(state.allocations.items())] \
             == [step[:2] for step in best]
-        leaves = [key for key, obj in scored
-                  if len(key) == len(scenario.requests) and obj is not None]
-        skipped += len(leaves) - len(packed)
+        skipped += sum(1 for key, (obj, _) in scored
+                       if len(key) == len(scenario.requests)
+                       and obj is not None) - len(leaves)
     assert skipped > 0   # some leaf could not win and was not packed
+    assert hits > 0      # some leaf's clouds had been packed before
     one = with_requests(micro_scenario(5), micro_scenario(5).requests[:1])
-    scored.clear()
-    packed.clear()
+    events.clear()
     assert len(solve_exact(one).allocations) == 1
-    assert all(len(key) == 1 for key, _ in scored)
-    assert packed
-    scored.clear()
+    assert all(len(key) == 1 for _, key, _ in events)
+    assert any(kind == "leaf" for kind, _, _ in events)
+    events.clear()
     packed.clear()
     empty = solve_exact(with_requests(micro_scenario(5), []))
     assert not empty.allocations and not empty.instances
-    assert not scored and not packed
+    assert not events and not packed
     assert not clones
