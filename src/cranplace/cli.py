@@ -9,8 +9,7 @@ import sys
 
 from . import des
 from .defaults import DEFAULT_LOAD_FRACTION
-from .errors import (BudgetExceeded, CranplaceError, InfeasibleError, NoPath,
-                     ScenarioError, StabilityViolation)
+from .errors import BudgetExceeded, CranplaceError, ScenarioError
 from .exact import evaluate_constraints, objective, solve_exact
 from .experiments import (MS_PER_WORK_UNIT, compare_heuristics,
                           optimal_cloud_count, run_sweep, write_csv,
@@ -206,9 +205,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InfeasibleError, StabilityViolation, NoPath) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ScenarioError, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -307,18 +307,20 @@ def _enforce_budget(scenario: Scenario, budget: ExactBudget):
                                  f"budget of {limit}")
 
 
-def _choices(state: PlacementState, demand, entry, catalog) -> list:
+def _choices(state: PlacementState, demand, cloud: str, catalog) -> list:
     """(choice, VM type to launch or None) for every instance that can take
-    a request of `demand` at the entry's cloud, in step order: the VM types
-    of `catalog` (sorted by name) that fit and can launch, then fitting
-    live instances in id order."""
+    a request of `demand` at `cloud`, in step order: the VM types of
+    `catalog` (sorted by name) that fit and can launch, then fitting live
+    instances in id order."""
     deg = state.scenario.degradation_fraction
     out = [(("new", vm.name), vm) for vm in catalog
            if capacity_fits(demand, vm.capacity, deg)
-           and can_launch(state, entry.cloud, vm)]
-    for iid in sorted(iid for _, iid in state.residual_index[entry.cloud]):
-        if capacity_fits(demand, state.instances[iid].residual, deg):
-            out.append((("use", iid), None))
+           and can_launch(state, cloud, vm)]
+    index = state.residual_index[cloud]
+    if index:   # skip the sort where no instance runs, as on the empty state
+        for iid in sorted([iid for _, iid in index]):
+            if capacity_fits(demand, state.instances[iid].residual, deg):
+                out.append((("use", iid), None))
     return out
 
 
@@ -342,7 +344,7 @@ def pack_instances(scenario: Scenario, requests, paths) -> list | None:
         if depth == len(requests):
             return True
         request, entry = requests[depth], paths[depth]
-        for choice, vm in _choices(state, state.demand(request), entry,
+        for choice, vm in _choices(state, state.demand(request), entry.cloud,
                                    catalog):
             mark = state.checkpoint()
             if vm is not None:
@@ -449,14 +451,13 @@ def solve_exact(scenario: Scenario,
     # per depth, each request placed after it with its origin's paths
     later = [[(r, by_origin[r.origin]) for r in requests[depth + 1:]]
              for depth in range(len(requests))]
-    # per request, the clouds where some VM type holds its degraded
-    # demand and can launch on the empty state
+    # per request, the clouds that have an instance for it on the empty
+    # state: a VM type that holds its degraded demand and can launch
     empty = PlacementState(scenario)
-    deg = scenario.degradation_fraction
-    hosts = {r.id: {c.id for c in scenario.topology.clouds()
-                    if any(capacity_fits(empty.demand(r), vm.capacity, deg)
-                           and can_launch(empty, c.id, vm)
-                           for vm in scenario.vm_catalog)}
+    clouds = [c.id for c in scenario.topology.clouds()]
+    hosts = {r.id: {cloud for cloud in clouds
+                    if _choices(empty, empty.demand(r), cloud,
+                                scenario.vm_catalog)}
              for r in requests}
     node = _PathNode(scenario)
     packings: dict = {}

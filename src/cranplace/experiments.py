@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 
 from .defaults import DEFAULT_LOAD_FRACTION
 from .errors import ScenarioError
-from .heuristics import HeuristicConfig, PlacementResult, place
+from .heuristics import HeuristicConfig, place
 from .model import Scenario, with_requests
 from .topology import average_bs_cloud_hops
 from .workload import make_scenario

@@ -22,17 +22,22 @@ REFERENCE_GBPS = 10.0
 
 
 def _positive(x) -> bool:
-    """A finite number above zero; False for NaN and inf."""
-    return 0 < x < math.inf
+    """A finite number above zero; False for a bool, NaN and inf. A bool
+    is no number: Python would take it as 1 or 0."""
+    return x.__class__ is not bool and 0 < x < math.inf
+
+
+def _nonnegative(x) -> bool:
+    """A finite number of at least zero; False for a bool, NaN and inf."""
+    return x.__class__ is not bool and 0 <= x < math.inf
 
 
 def check_number(name: str, value, nonnegative: bool = False) -> None:
     """A `ScenarioError` naming `name` unless `value` is a finite number
     above 0, or at least 0 when `nonnegative`. A bool, a string or a list
     is no number: arithmetic on it would raise or mislead mid-run."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not (0 <= value < math.inf if nonnegative
-                    else 0 < value < math.inf)):
+    if not isinstance(value, (int, float)) or not (
+            _nonnegative(value) if nonnegative else _positive(value)):
         raise ScenarioError(f"{name} must be a finite "
                             f"{'non-negative' if nonnegative else 'positive'}"
                             f" number, not {value!r}")
@@ -105,13 +110,15 @@ class Node:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ScenarioError(f"unknown node kind {self.kind!r}")
-        if not all(0 <= c < math.inf for c in self.capacity):
+        if not all(map(_nonnegative, self.capacity)):
             raise ScenarioError(f"node {self.id}: capacity must be finite "
                                 "and non-negative")
         if self.kind != CLOUD and not self.capacity.is_zero():
             raise ScenarioError(f"non-cloud node {self.id} has capacity")
-        if self.kind != CLOUD and self.service_rate != 0:
-            raise ScenarioError(f"non-cloud node {self.id} has service rate")
+        if self.kind != CLOUD and (self.service_rate.__class__ is bool
+                                   or self.service_rate != 0):
+            raise ScenarioError(f"non-cloud node {self.id}: service_rate "
+                                f"must be 0, not {self.service_rate!r}")
         # the M/M/1 term of every request placed there divides by it
         if self.kind == CLOUD and not _positive(self.service_rate):
             raise ScenarioError(f"cloud {self.id}: service_rate must be "
@@ -126,10 +133,10 @@ class Link:
     capacity_bw: float            # Gbps
 
     def __post_init__(self):
-        if not (_positive(self.service_rate_mu)
-                and _positive(self.capacity_bw)):
-            raise ScenarioError(f"link {self.src}->{self.dst} needs finite "
-                                "positive rate and bandwidth")
+        for name in ("service_rate_mu", "capacity_bw"):
+            if not _positive(getattr(self, name)):
+                raise ScenarioError(f"link {self.src}->{self.dst}: {name} "
+                                    "must be finite and positive")
 
     @property
     def key(self):
@@ -190,8 +197,8 @@ class VmType:
             raise ScenarioError(f"VM type {self.name}: capacity must be "
                                 "finite and strictly positive")
         if not _positive(self.hourly_cost):
-            raise ScenarioError(f"VM type {self.name}: cost must be finite "
-                                "and positive")
+            raise ScenarioError(f"VM type {self.name}: hourly_cost must be "
+                                "finite and positive")
 
     @property
     def resource_units(self) -> float:
@@ -206,11 +213,11 @@ class ServiceClass:
     sla_delay_bound: float  # seconds
 
     def __post_init__(self):
-        if not all(0 <= c < math.inf for c in self.demand_per_10gbps):
-            raise ScenarioError(f"class {self.name}: demand must be finite "
-                                "and non-negative")
+        if not all(map(_nonnegative, self.demand_per_10gbps)):
+            raise ScenarioError(f"class {self.name}: demand_per_10gbps must "
+                                "be finite and non-negative")
         if not _positive(self.sla_delay_bound):
-            raise ScenarioError(f"class {self.name}: SLA bound must be "
+            raise ScenarioError(f"class {self.name}: sla_delay_bound must be "
                                 "finite and positive")
 
 
@@ -233,7 +240,7 @@ class ServiceRequest:
             if not _positive(getattr(self, name)):
                 raise ScenarioError(f"request {self.id}: {name} must be "
                                     "finite and positive")
-        if not 0 <= self.arrival_time < math.inf:
+        if not _nonnegative(self.arrival_time):
             raise ScenarioError(f"request {self.id}: arrival_time must be "
                                 "finite and non-negative")
 
@@ -260,18 +267,19 @@ class Scenario:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.cost_threshold > 0:
-            raise ScenarioError("cost_threshold must be positive")
-        if not 0.0 <= self.degradation_fraction < 1.0:
-            raise ScenarioError("degradation_fraction must be in [0, 1)")
+        check_number("cost_threshold", self.cost_threshold)
+        if not (_nonnegative(self.degradation_fraction)
+                and self.degradation_fraction < 1.0):
+            raise ScenarioError("degradation_fraction must be in [0, 1), "
+                                f"not {self.degradation_fraction!r}")
         check_count("k_paths", self.k_paths, 1)
+        check_number("resource_cap_total", self.resource_cap_total,
+                     nonnegative=True)
         # the generator's seed, which `compare` and `sweep` also seed the
         # heuristics with; `random.Random` takes any int, negative too
         seed = self.setting("seed")
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ScenarioError(f"seed must be an integer, not {seed!r}")
-        if not self.resource_cap_total >= 0:
-            raise ScenarioError("resource_cap_total must be non-negative")
         for name in ("migration_eviction_limit", "migration_target_limit"):
             limit = self.setting(name)
             if limit is not None:   # None is no limit
@@ -281,6 +289,15 @@ class Scenario:
             check_number(name, self.setting(name))
         check_number("migration_overhead_s",
                      self.setting("migration_overhead_s"), nonnegative=True)
+        # any other setting: no bool, which would be taken as 1 or 0, and
+        # no NaN or inf, since a scenario that holds one cannot be saved
+        for name, value in self.params.items():
+            for item in value if isinstance(value, (list, tuple)) \
+                    else (value,):
+                if item.__class__ is bool or (isinstance(item, float)
+                                              and not math.isfinite(item)):
+                    raise ScenarioError(f"params {name} must be a finite "
+                                        f"number, not {item!r}")
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}

@@ -7,7 +7,6 @@ from __future__ import annotations
 import json
 from dataclasses import fields
 from functools import cache
-from itertools import chain, repeat
 from operator import attrgetter
 
 from .errors import ScenarioError
@@ -32,17 +31,6 @@ def _field_names(cls) -> tuple[tuple[str, ...], frozenset[str],
 
 def _type_name(field) -> str:
     return getattr(field.type, "__name__", field.type)
-
-
-#: field annotations that mean a number, or a [cpu, storage, network] list
-_NUMBER_TYPES = ("int", "float", "CapacityVector")
-
-
-@cache
-def _number_fields(cls) -> tuple[str, ...]:
-    """The names of the fields of `cls` that hold numbers."""
-    return tuple(f.name for f in fields(cls)
-                 if _type_name(f) in _NUMBER_TYPES)
 
 
 def _records(cls, objs) -> list[dict]:
@@ -74,21 +62,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
-def _reject_bools(owner: str, records, names, vectors=()) -> None:
-    """A JSON `true`/`false` where a record should give a number is a
-    `ScenarioError`: Python would take it as 1 or 0. Each name is checked
-    as one column over all the records, so that a long list of requests
-    costs no Python loop; a name in `vectors` holds a list per record,
-    whose items are checked."""
-    for name in names:
-        column = map(dict.get, records, repeat(name))
-        if name in vectors:
-            column = chain.from_iterable(filter(None, column))
-        if bool in set(map(type, column)):
-            raise ScenarioError(f"{owner} {name} must be a number, not "
-                                "true or false")
-
-
 def _build(cls, d: dict, **given):
     """`cls(**given)` plus the keys of `d` that name its other fields, so
     that a key the file lacks takes the field's default; a key that names
@@ -107,29 +80,17 @@ def _build(cls, d: dict, **given):
     return cls(**kwargs, **given)
 
 
-def _build_all(cls, records) -> list:
-    """`_build(cls, d)` for each record, once no record gives a bool for
-    a number."""
-    _reject_bools(cls.__name__, records, _number_fields(cls),
-                  _field_names(cls)[2])
-    return [_build(cls, d) for d in records]
-
-
 def scenario_from_dict(data: dict) -> Scenario:
     try:
         topo_data = data["topology"]
-        params = dict(data.get("params", {}))
-        _reject_bools("Scenario", [data], _number_fields(Scenario))
-        _reject_bools("params", [params], params,
-                      [k for k, v in params.items() if type(v) is list])
         return _build(
             Scenario, data,
-            topology=Topology(_build_all(Node, topo_data["nodes"]),
-                              _build_all(Link, topo_data["links"])),
-            vm_catalog=_build_all(VmType, data["vm_catalog"]),
-            classes=_build_all(ServiceClass, data["classes"]),
-            requests=_build_all(ServiceRequest, data["requests"]),
-            params=params)
+            topology=Topology([_build(Node, d) for d in topo_data["nodes"]],
+                              [_build(Link, d) for d in topo_data["links"]]),
+            vm_catalog=[_build(VmType, d) for d in data["vm_catalog"]],
+            classes=[_build(ServiceClass, d) for d in data["classes"]],
+            requests=[_build(ServiceRequest, d) for d in data["requests"]],
+            params=dict(data.get("params", {})))
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"malformed scenario data: {exc}") from exc
 

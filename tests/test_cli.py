@@ -121,6 +121,12 @@ class TestExitCodes:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unstable_simulation_is_one(self, capsys):
+        assert main(["simulate", "--discipline", "md1", "--rho", "1.0",
+                     "--mu", "1.0", "--packets", "100"]) == 1
+        err = capsys.readouterr().err
+        assert "unstable" in err and "Traceback" not in err
+
     def test_bad_input_is_two(self, scenario_file, tmp_path, capsys):
         assert main(["place", "--scenario", str(tmp_path / "missing.yaml"),
                      "--heuristic", "bnb",
@@ -249,6 +255,19 @@ class TestExitCodes:
         path = tmp_path / "flag.json"
         path.write_text(json.dumps(data))
         assert f'"{field}": {flag}' in path.read_text()
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["cost_threshold",
+                                       "resource_cap_total"])
+    def test_infinite_cap_is_two(self, tmp_path, capsys, field):
+        data = scenario_to_dict(micro_scenario(2))
+        data[field] = float("inf")
+        path = tmp_path / "cap.yaml"
+        path.write_text(yaml.safe_dump(data))
         rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
                    "--out", str(tmp_path / "o")])
         assert rc == 2

@@ -13,7 +13,7 @@ from cranplace.errors import ScenarioError
 from cranplace.exact import evaluate_constraints
 from cranplace import heuristics
 from cranplace.heuristics import (ALL_KINDS, BNB_KINDS, BNB_SORTED_ASC,
-                                  BNB_SORTED_DESC, SA_KINDS, HeuristicConfig,
+                                  BNB_SORTED_DESC, HeuristicConfig,
                                   _Run, fit_floor, place, sa_iterations)
 from cranplace.model import CapacityVector, VmType, capacity_fits
 from cranplace.state import PlacementState, can_launch, residual_key

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tempfile
 from dataclasses import fields, replace
@@ -231,6 +232,65 @@ class TestFileFormat:
             save_scenario(scenario, str(tmp_path / "nan.yaml"))
 
 
+def _with_leaf(data: dict, where, value) -> dict:
+    """`data` with the leaf at `where`, a path of keys and indices, set
+    to `value`."""
+    *parents, last = where
+    holder = data
+    for key in parents:
+        holder = holder[key]
+    holder[last] = value
+    return data
+
+
+def _rebuilt_with(scenario, where, value):
+    """The record that holds the number at `where`, a path into
+    `scenario_to_dict(scenario)`, rebuilt by `replace` with `value` in
+    its place."""
+    if where[0] == "params":
+        return replace(scenario, params={**scenario.params, where[1]: value})
+    if len(where) == 1:
+        return replace(scenario, **{where[0]: value})
+    topo = scenario.topology
+    records = {"nodes": [topo.nodes[k] for k in sorted(topo.nodes)],
+               "links": [topo.links[k] for k in sorted(topo.links)],
+               "vm_catalog": scenario.vm_catalog,
+               "classes": scenario.classes, "requests": scenario.requests}
+    section, index, name, *item = where[where[0] == "topology":]
+    record = records[section][index]
+    if item:
+        vector = getattr(record, name)
+        value = vector._replace(**{vector._fields[item[0]]: value})
+    return replace(record, **{name: value})
+
+
+def _number_leaves(data, where=()):
+    """The path of each number in a scenario dict."""
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _number_leaves(value, where + (key,))
+        elif isinstance(value, (int, float)):
+            yield where + (key,)
+
+
+#: number fields that must be above zero wherever they occur
+_POSITIVE = {"cost_threshold", "k_paths", "hourly_cost", "service_rate_mu",
+             "capacity_bw", "sla_delay_bound", "volume_packets",
+             "packet_size_bytes", "holding_time"}
+
+
+def _must_be_positive(data: dict, where) -> bool:
+    """Whether the number at `where` must be above zero, not just at
+    least zero: a VM type's capacity and a cloud's service rate must too."""
+    name = next(k for k in reversed(where) if isinstance(k, str))
+    if name in _POSITIVE or where[0] == "vm_catalog":
+        return True
+    if name == "service_rate":
+        return data["topology"]["nodes"][where[2]]["kind"] == "cloud"
+    return False
+
+
 class TestMalformedInput:
     def test_missing_sections_rejected(self, tiny_scenario):
         data = scenario_to_dict(tiny_scenario)
@@ -273,15 +333,44 @@ class TestMalformedInput:
     @pytest.mark.parametrize("where", NUMBER_FIELDS,
                              ids=lambda w: ".".join(map(str, w)))
     def test_bool_for_a_number_is_rejected(self, where, flag):
-        data = scenario_to_dict(micro_scenario(2))
-        *parents, last = where
-        holder = data
-        for key in parents:
-            holder = holder[key]
-        holder[last] = flag
+        scenario = micro_scenario(2)
+        data = _with_leaf(scenario_to_dict(scenario), where, flag)
         name = next(k for k in reversed(where) if isinstance(k, str))
         with pytest.raises(ScenarioError, match=name):
             scenario_from_dict(json.loads(json.dumps(data)))
+        # the record itself rejects it, built without a file
+        with pytest.raises(ScenarioError, match=name):
+            _rebuilt_with(scenario, where, flag)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_bad_number_anywhere_is_rejected_by_name(self, data):
+        scenario = micro_scenario(data.draw(st.integers(0, 1000)))
+        as_dict = scenario_to_dict(scenario)
+        where = data.draw(st.sampled_from(list(_number_leaves(as_dict))))
+        name = next(k for k in reversed(where) if isinstance(k, str))
+        bad = [True, False, math.nan, math.inf]
+        if name != "id":   # a request id is any integer
+            bad.append(data.draw(st.floats(-1e6, -1e-6)))
+        if _must_be_positive(as_dict, where):
+            bad.append(0)
+        value = data.draw(st.sampled_from(bad))
+        with pytest.raises(ScenarioError, match=name):
+            scenario_from_dict(_with_leaf(as_dict, where, value))
+        with pytest.raises(ScenarioError, match=name):
+            _rebuilt_with(scenario, where, value)
+
+    @pytest.mark.parametrize("field", ["cost_threshold",
+                                       "resource_cap_total"])
+    def test_infinite_cap_is_rejected(self, tmp_path, field):
+        # no file that holds it could be written again
+        data = scenario_to_dict(micro_scenario(2))
+        data[field] = math.inf
+        path = tmp_path / "cap.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert f"{field}: .inf" in path.read_text()
+        with pytest.raises(ScenarioError, match=field):
+            load_scenario(str(path))
 
     @pytest.mark.parametrize("seed", [[1], "abc", 1.5, True, None])
     def test_seed_that_is_no_integer_is_rejected(self, tmp_path, seed):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from cranplace.errors import ScenarioError
-from cranplace.model import CLOUD, ROUTER, CapacityVector
+from cranplace.model import ROUTER, CapacityVector
 from cranplace.topology import (LinkParams, average_bs_cloud_hops,
                                 bs_node_id, build_topology, chain_depth,
                                 core_attachment, group_size,
