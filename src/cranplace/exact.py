@@ -68,71 +68,38 @@ def least_delay(state: PlacementState, request, entries) -> float:
                default=math.inf)
 
 
-def _raise_loads(state, entry, rate) -> tuple:
-    """Raise the loads of `entry`'s links and cloud by `rate` as `admit`
-    raises them; returns what `_restore_loads` needs to put them back."""
-    link_load = state.link_load
-    cloud_load = state.cloud_load
-    saved = [(key, link_load.get(key)) for key in entry.link_keys]
-    saved_psi = cloud_load.get(entry.cloud)
-    for key in entry.link_keys:
-        link_load[key] = link_load.get(key, 0.0) + rate
-    cloud_load[entry.cloud] = cloud_load.get(entry.cloud, 0.0) + rate
-    return saved, saved_psi
-
-
-def _restore_loads(state, entry, saved) -> None:
-    """Put back the loads `_raise_loads` raised, a key that was absent
-    deleted, so that the load dicts keep their items in their order."""
-    link_saved, saved_psi = saved
-    link_load = state.link_load
-    for key, old in reversed(link_saved):
-        if old is None:
-            link_load.pop(key, None)
-        else:
-            link_load[key] = old
-    if saved_psi is None:
-        del state.cloud_load[entry.cloud]
-    else:
-        state.cloud_load[entry.cloud] = saved_psi
-
-
 def score_child(state, limits: dict[int, float], request,
-                entry, later) -> tuple[float | None, float]:
-    """(partial objective, bound) of the search child that admits `request`
-    on `entry`, scored on `state` itself. The child's value depends only on
+                entry, later) -> tuple[float | None, float, _PathNode]:
+    """(partial objective, bound, child) of the search child that admits
+    `request` on `entry` below `state`. The child's value depends only on
     its loads and paths, so it is the same under any instance choice.
     `state` is a `PlacementState` or anything with its `scenario`,
     `link_load`, `cloud_load` and `allocations` (whose values need only a
-    `path`).
+    `path`); it is read, never written.
 
-    The new request's term is its `projected_delay` on `state`, which is
-    the delay it has once admitted. The loads are then raised by its rate
-    on the entry's links and cloud as `admit` raises them, the admitted
-    requests are summed by `evaluate_node` and the new request's term is
-    added last, as the child's allocation order has it. The bound adds
-    each `later` (request, its origin's entries) pair's `least_delay`.
-    Every raised load is then put back. (None, inf) when the entry is
-    unstable, or when an admitted request, the new one included, would be
-    over its SLA limit."""
-    delays = projected_delay(state, entry, request.rate_pps)
-    if delays is None:
-        return None, math.inf
-    delay = delays[0] + delays[1]
-    if delay > limits[request.id]:
-        return None, math.inf
-    saved = _raise_loads(state, entry, request.rate_pps)
-    try:
-        obj = evaluate_node(state, limits)
-        if obj is None:
-            return None, math.inf
-        obj += delay
-        bound = obj
-        for other, entries in later:
-            bound += least_delay(state, other, entries)
-        return obj, bound
-    finally:
-        _restore_loads(state, entry, saved)
+    The child is a new `_PathNode`: `state`'s loads raised by the
+    request's rate on the entry's links and cloud as `admit` raises them,
+    and its allocations with the request's `_Routed(entry)` last. Its
+    partial objective is `evaluate_node` on it; the bound adds each
+    `later` (request, its origin's entries) pair's `least_delay` at the
+    child's loads. The objective is None and the bound inf when the entry
+    is unstable, or when an admitted request, the new one included, would
+    be over its SLA limit."""
+    rate = request.rate_pps
+    link_load = dict(state.link_load)
+    for key in entry.link_keys:
+        link_load[key] = link_load.get(key, 0.0) + rate
+    cloud_load = dict(state.cloud_load)
+    cloud_load[entry.cloud] = cloud_load.get(entry.cloud, 0.0) + rate
+    child = _PathNode(state.scenario, link_load, cloud_load,
+                      {**state.allocations, request.id: _Routed(entry)})
+    obj = evaluate_node(child, limits)
+    if obj is None:
+        return None, math.inf, child
+    bound = obj
+    for other, entries in later:
+        bound += least_delay(child, other, entries)
+    return obj, bound, child
 
 
 def check_cloud_capacity(state, scenario):
@@ -386,16 +353,15 @@ class _Routed(NamedTuple):
     path: PathEntry
 
 
-class _PathNode:
+class _PathNode(NamedTuple):
     """A node of the path search: the scenario, the loads and each admitted
     request's path in admission order; what `score_child` reads of a
-    `PlacementState`, and nothing of instances."""
-
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.link_load: dict[tuple[str, str], float] = {}
-        self.cloud_load: dict[str, float] = {}
-        self.allocations: dict[int, _Routed] = {}
+    `PlacementState`, and nothing of instances. Never written after it
+    is built."""
+    scenario: Scenario
+    link_load: dict[tuple[str, str], float]
+    cloud_load: dict[str, float]
+    allocations: dict[int, _Routed]
 
 
 def solve_exact(scenario: Scenario,
@@ -405,17 +371,18 @@ def solve_exact(scenario: Scenario,
     be placed.
 
     The delay objective reads only paths and loads, so the bound runs
-    over path entries alone, on one `_PathNode` whose loads are raised on
-    the way down and put back on the way up. A node's children are scored
-    by `score_child` on the node itself, once per entry. A node's bound is
-    its partial objective plus, for each request still to place, its
-    `least_delay` at the node's loads. A node is pruned when the bound
-    exceeds the incumbent, or when a request still to place has no stable
-    path left. The bound never exceeds the objective of a placement below
-    the node, so no node that could tie or beat the incumbent is pruned.
-    Capacity prunes an entry only when its cloud could host none of the
-    request's instances even on the empty state: no VM type there holds
-    the request's degraded demand and can launch.
+    over path entries alone, on `_PathNode` values. `score_child` builds
+    each child of a node once per entry, a copy of the node's loads and
+    paths with the request added, and scores it; that child is then
+    descended into or packed, and no node is written after it is built.
+    A node's bound is its partial objective plus, for each request still
+    to place, its `least_delay` at the node's loads. A node is pruned when
+    the bound exceeds the incumbent, or when a request still to place has
+    no stable path left. The bound never exceeds the objective of a
+    placement below the node, so no node that could tie or beat the
+    incumbent is pruned. Capacity prunes an entry only when its cloud
+    could host none of the request's instances even on the empty state: no
+    VM type there holds the request's degraded demand and can launch.
 
     A node scores all its children first, then visits them best bound
     first: in ascending (bound, entry order), stopping at the first whose
@@ -459,10 +426,9 @@ def solve_exact(scenario: Scenario,
                     if _choices(empty, empty.demand(r), cloud,
                                 scenario.vm_catalog)}
              for r in requests}
-    node = _PathNode(scenario)
     packings: dict = {}
 
-    def search(depth):
+    def search(node, depth):
         """Search below `node`, whose admitted requests all meet their
         SLA."""
         request = requests[depth]
@@ -471,35 +437,30 @@ def solve_exact(scenario: Scenario,
         for index, entry in enumerate(by_origin[request.origin]):
             if entry.cloud not in hosts[request.id]:
                 continue
-            obj, bound = score_child(node, limits, request, entry,
-                                     later[depth])
+            obj, bound, child = score_child(node, limits, request, entry,
+                                            later[depth])
             if bound != math.inf:
-                children.append((bound, index, obj, entry))
-        children.sort(key=lambda child: child[:2])
-        for bound, _, obj, entry in children:
+                children.append((bound, index, obj, child))
+        children.sort(key=lambda kid: kid[:2])
+        for bound, _, obj, child in children:
             incumbent = best["obj"]
             if incumbent is not None and bound > incumbent + 1e-15:
                 break
             if leaf:
                 if incumbent is None or obj < incumbent - 1e-15 \
                         or abs(obj - incumbent) <= 1e-15:
-                    paths = [a.path for a in node.allocations.values()]
-                    vec = pack_leaf(packings, scenario, requests,
-                                    paths + [entry])
+                    paths = [a.path for a in child.allocations.values()]
+                    vec = pack_leaf(packings, scenario, requests, paths)
                     if vec is not None and (incumbent is None
                                             or obj < incumbent - 1e-15
                                             or vec < best["vec"]):
                         best["obj"] = obj
                         best["vec"] = vec
             else:
-                saved = _raise_loads(node, entry, request.rate_pps)
-                node.allocations[request.id] = _Routed(entry)
-                search(depth + 1)
-                del node.allocations[request.id]
-                _restore_loads(node, entry, saved)
+                search(child, depth + 1)
 
     if requests:
-        search(0)
+        search(_PathNode(scenario, {}, {}, {}), 0)
     if best["vec"] is None:
         raise InfeasibleError("no feasible placement of all requests")
 

@@ -22,14 +22,22 @@ REFERENCE_GBPS = 10.0
 
 
 def _positive(x) -> bool:
-    """A finite number above zero; False for a bool, NaN and inf. A bool
-    is no number: Python would take it as 1 or 0."""
-    return x.__class__ is not bool and 0 < x < math.inf
+    """A finite number above zero; False for a bool, NaN, inf and what
+    does not compare with a number, such as a string or None. A bool is
+    no number: Python would take it as 1 or 0."""
+    try:
+        return x.__class__ is not bool and 0 < x < math.inf
+    except TypeError:
+        return False
 
 
 def _nonnegative(x) -> bool:
-    """A finite number of at least zero; False for a bool, NaN and inf."""
-    return x.__class__ is not bool and 0 <= x < math.inf
+    """A finite number of at least zero; False for a bool, NaN, inf, a
+    string or None."""
+    try:
+        return x.__class__ is not bool and 0 <= x < math.inf
+    except TypeError:
+        return False
 
 
 def check_number(name: str, value, nonnegative: bool = False) -> None:

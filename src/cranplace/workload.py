@@ -21,8 +21,8 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
                       backhaul_gbps: float = defaults.DEFAULT_BACKHAUL_GBPS,
                       packet_size_bytes: float = defaults.DEFAULT_PACKET_SIZE_BYTES,
                       volume_packets: float = defaults.DEFAULT_VOLUME_PACKETS,
-                      holding_time: float = defaults.DEFAULT_HOLDING_TIME_S,
-                      class_names=None) -> list[ServiceRequest]:
+                      holding_time: float = defaults.DEFAULT_HOLDING_TIME_S
+                      ) -> list[ServiceRequest]:
     """Exponential inter-arrivals, origins uniform over base stations,
     classes drawn from `class_mix` (uniform by default).
 
@@ -42,8 +42,7 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     check_number("load_fraction", load_fraction)
     if not load_fraction < 1.0:
         raise ScenarioError("load_fraction must be in (0, 1)")
-    names = list(class_names) if class_names is not None \
-        else list(DEFAULT_CLASS_NAMES)
+    names = DEFAULT_CLASS_NAMES
     if class_mix is None:
         weights = [1.0] * len(names)
     else:

@@ -681,26 +681,32 @@ def test_child_score_is_the_admitted_childs_value(seed, admissions,
         bound = limits[request.id] - 1e-9
         state.link_load[key] = max(0.0, _load_for_delay(
             on_entry * bound, mu, True) - request.rate_pps)
-    if projected_delay(state, entry, request.rate_pps) is None:
-        assert score_child(state, limits, request, entry, []) \
-            == (None, float("inf"))
-        return
+    unstable = projected_delay(state, entry, request.rate_pps) is None
     later = [(r, lists.list_for_bs(r.origin))
              for r in open_requests if r is not request][:n_later]
     link_items = list(state.link_load.items())
     cloud_items = list(state.cloud_load.items())
+    allocations = list(state.allocations.items())
 
-    obj, bound = score_child(state, limits, request, entry, later)
+    obj, bound, node = score_child(state, limits, request, entry, later)
 
     assert list(state.link_load.items()) == link_items
     assert list(state.cloud_load.items()) == cloud_items
+    assert list(state.allocations.items()) == allocations
     child = state.clone()
     vm = scenario.vm_catalog[-1]
     child.residual_cloud[entry.cloud] = vm.capacity   # room for one more
     iid = child.launch_instance(entry.cloud, vm).id
     child.admit(request, iid, entry)
+    # the node's loads are the admitted child's, key by key and in order
+    assert list(node.link_load.items()) == list(child.link_load.items())
+    assert list(node.cloud_load.items()) == list(child.cloud_load.items())
+    assert [(rid, a.path) for rid, a in node.allocations.items()] \
+        == [(rid, a.path) for rid, a in child.allocations.items()]
     want = evaluate_node(child, limits)
     assert obj == want
+    if unstable:   # the entry itself is at or over a rate
+        assert obj is None
     if want is None:
         assert bound == float("inf")
     else:
@@ -729,7 +735,7 @@ def test_paths_are_scored_once_and_only_winnable_leaves_packed(monkeypatch):
         result = score(state, limits, request, entry, later)
         events.append(("score", tuple(a.path.id for a in
                                       state.allocations.values())
-                       + (entry.id,), result))
+                       + (entry.id,), result[:2]))
         return result
 
     def recording_pack(scenario, requests, paths):

@@ -352,6 +352,10 @@ class TestMalformedInput:
         bad = [True, False, math.nan, math.inf]
         if name != "id":   # a request id is any integer
             bad.append(data.draw(st.floats(-1e6, -1e-6)))
+        # in params None is no limit, and generator settings are checked
+        # when a sweep runs
+        if where[0] != "params":
+            bad += ["abc", None]
         if _must_be_positive(as_dict, where):
             bad.append(0)
         value = data.draw(st.sampled_from(bad))
