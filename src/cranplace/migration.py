@@ -6,6 +6,7 @@ from __future__ import annotations
 from .errors import NoPath
 from .model import capacity_fits
 from .paths import k_shortest_paths
+from .state import launch_allowed
 
 
 def migration_time(scenario, vm_size: float, link_speed: float) -> float:
@@ -63,29 +64,44 @@ def evictee_order(state, cloud: str) -> list[int]:
         for rid, c in instances[iid].assigned.items())]
 
 
-def evictions_cannot_make_room(state, demand, evictee_ids) -> bool:
-    """Whether releasing all of `evictee_ids` would empty none of their
-    instances and leave each of them still too small for `demand`. Each
-    instance is tested with every evictee on it released, summed in
-    eviction order, and with a relative slack of 1e-9 on every component
-    for the rounding of releases made in another order; releasing fewer
-    frees less."""
+def evictions_cannot_make_room(state, demand, evictee_ids, clouds) -> bool:
+    """Whether no release of `evictee_ids` could give `demand` room that a
+    trial can use: (b) no instance that hosts evictees would fit `demand`
+    with all of its evictees released, whether or not that empties it, and
+    (c) no VM type that `demand` fits on could launch at any of `clouds`
+    once every instance the evictions would empty retires, its capacity
+    back in the target's residual and its hourly cost off the live cost;
+    `resources_used` stays as it is, since a retirement never lowers it.
+    Releasing fewer frees less. Releases and retirements made in another
+    order round differently, so both tests have a relative slack of 1e-9:
+    released capacity and cloud residuals are scaled up by it, and the
+    live cost down."""
     allocations = state.allocations
     freed: dict[int, list] = {}
     for rid in evictee_ids:
         alloc = allocations[rid]
         freed.setdefault(alloc.instance_id, []).append(alloc.consumed)
-    degradation = state.scenario.degradation_fraction
+    scenario = state.scenario
+    degradation = scenario.degradation_fraction
+    residual_cloud = dict(state.residual_cloud)
+    live_cost = state.live_cost() * (1.0 - 1e-9)
     for iid, consumed in freed.items():
         inst = state.instances[iid]
-        if len(consumed) == len(inst.assigned):
-            return False   # emptied: its retirement frees capacity and cost
         released = inst.residual
         for c in consumed:
             released = released + c
         if capacity_fits(demand, released.scale(1.0 + 1e-9), degradation):
             return False
-    return True
+        if len(consumed) == len(inst.assigned):
+            vm = inst.vm_type
+            residual_cloud[inst.cloud] += vm.capacity
+            live_cost -= vm.hourly_cost
+    return not any(
+        launch_allowed(scenario, residual_cloud[cloud].scale(1.0 + 1e-9),
+                       state.resources_used, live_cost, vm)
+        for vm in scenario.vm_catalog
+        if capacity_fits(demand, vm.capacity, degradation)
+        for cloud in clouds)
 
 
 def try_migrate_for_fit(state, request, lists, policy):
@@ -108,18 +124,25 @@ def try_migrate_for_fit(state, request, lists, policy):
     Allocation, or returns None leaving the state untouched;
     `policy.room(state, request, cloud)` is its own room test, what
     `admit` would place the request on at `cloud` now, or None when it
-    finds no room there.
+    finds no room there. A policy launches only VM types that
+    `state.can_launch` allows and that the admitted request's demand fits
+    on.
 
     A target is skipped without a trial when the storage screen fails, or
     when (a) `policy.room` finds no room for the request at any of its
     clouds, (b) no target instance that hosts evictees would fit the
-    request with all of them released, and (c) the evictions would empty
-    none of those instances. During a trial only the target gains room,
-    and only through its evictees; every other cloud, the resource total
-    and, without a retirement, the live cost only tighten; and a VM
-    launched for an evictee has less room left than a fresh VM of a type
-    that was launchable before. So under (a) to (c) no retry could
-    succeed, and the skip changes nothing but the work not done.
+    request with all of its evictees released, and (c) no VM type the
+    request fits on could launch at any of its clouds even after every
+    instance the evictions would empty retires
+    (`evictions_cannot_make_room`). During a trial only the target gains
+    room, through its evictees' instances and the retirement of those
+    they empty; every other cloud's room only tightens, the live cost
+    falls only by those retirements, and the resource total never falls.
+    The request can use an instance launched during the trial, for an
+    evictee or for itself, only at one of its clouds and only if it fits
+    that instance's type, which `can_launch` allowed there at a state no
+    looser than (c) assumes. So under (a) to (c) no retry could succeed,
+    and the skip changes nothing but the work not done.
 
     Returns (moves, success): `moves` holds one (request_id,
     migration_delay) pair per relocation kept, in the order made, and is
@@ -151,7 +174,7 @@ def try_migrate_for_fit(state, request, lists, policy):
             state.allocations[r].consumed.storage for r in evictee_ids)
         if demand.storage > avail:
             continue
-        if evictions_cannot_make_room(state, demand, evictee_ids):
+        if evictions_cannot_make_room(state, demand, evictee_ids, clouds):
             # a failed trial rolls back, so the room found for the first
             # target holds for the next
             if no_room is None:

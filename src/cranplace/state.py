@@ -386,12 +386,22 @@ def sla_limit(scenario: Scenario, request: ServiceRequest) -> float:
     return scenario.service_class(request.class_name).sla_delay_bound + _EPS
 
 
-def can_launch(state: PlacementState, cloud: str, vm: VmType) -> bool:
-    """Whether `cloud` can launch one `vm` now: its residual covers the
-    VM, and the resource cap and the cost threshold hold with it."""
-    scenario = state.scenario
-    return (state.residual_cloud[cloud].covers(vm.capacity)
-            and state.resources_used + vm.resource_units
+def launch_allowed(scenario: Scenario, residual: CapacityVector,
+                   resources_used: float, live_cost: float,
+                   vm: VmType) -> bool:
+    """The launch rule: whether one `vm` can launch at a cloud with
+    `residual` left, after `resources_used` resource units and at
+    `live_cost` $/h: the residual covers the VM, and the scenario's
+    resource cap and cost threshold hold with it."""
+    return (residual.covers(vm.capacity)
+            and resources_used + vm.resource_units
             <= scenario.resource_cap_total + _EPS
-            and state.live_cost() + vm.hourly_cost
+            and live_cost + vm.hourly_cost
             <= scenario.cost_threshold + _EPS)
+
+
+def can_launch(state: PlacementState, cloud: str, vm: VmType) -> bool:
+    """Whether `cloud` can launch one `vm` now: `launch_allowed` at its
+    residual and the state's resource total and live cost."""
+    return launch_allowed(state.scenario, state.residual_cloud[cloud],
+                          state.resources_used, state._live_cost, vm)
