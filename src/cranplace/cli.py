@@ -35,7 +35,7 @@ def _cmd_generate(args) -> int:
                              load_fraction=args.load, seed=args.seed)
     save_scenario(scenario, args.out)
     print(f"wrote {args.out}: {args.bs} BS, {args.clouds} clouds, "
-          f"{args.requests} requests at {args.load:.0%} load")
+          f"{args.requests} requests at load {args.load}")
     return 0
 
 

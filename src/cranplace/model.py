@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Number
 from typing import NamedTuple
 
 from . import defaults
@@ -21,42 +22,35 @@ NODE_KINDS = (BASE_STATION, ROUTER, CLOUD)
 REFERENCE_GBPS = 10.0
 
 
-def _positive(x) -> bool:
-    """A finite number above zero; False for a bool, NaN, inf and what
-    does not compare with a number, such as a string or None. A bool is
-    no number: Python would take it as 1 or 0."""
-    try:
-        return x.__class__ is not bool and 0 < x < math.inf
-    except TypeError:
-        return False
-
-
-def _nonnegative(x) -> bool:
-    """A finite number of at least zero; False for a bool, NaN, inf, a
-    string or None."""
-    try:
-        return x.__class__ is not bool and 0 <= x < math.inf
-    except TypeError:
-        return False
-
-
-def check_number(name: str, value, nonnegative: bool = False) -> None:
+def check_number(name: str, value, nonnegative: bool = False,
+                 signed: bool = False) -> None:
     """A `ScenarioError` naming `name` unless `value` is a finite number
-    above 0, or at least 0 when `nonnegative`. A bool, a string or a list
-    is no number: arithmetic on it would raise or mislead mid-run."""
-    if not isinstance(value, (int, float)) or not (
-            _nonnegative(value) if nonnegative else _positive(value)):
-        raise ScenarioError(f"{name} must be a finite "
-                            f"{'non-negative' if nonnegative else 'positive'}"
-                            f" number, not {value!r}")
+    above 0, at least 0 when `nonnegative`, or of any sign when `signed`.
+    A number is an int or a float, a float subclass such as
+    `numpy.float64` too: the numbers JSON writes. A bool would be taken
+    as 1 or 0; a `Decimal`, a `Fraction` or a numpy integer or float32
+    fails arithmetic mid-run or cannot be saved."""
+    kind = value.__class__   # tested before isinstance, which is slower
+    if not ((kind is float or kind is int
+             or kind is not bool and isinstance(value, (int, float)))
+            and (0 < value < math.inf
+                 or (signed or nonnegative and value == 0)
+                 and -math.inf < value < math.inf)):
+        sign = "" if signed else \
+            "non-negative " if nonnegative else "positive "
+        raise ScenarioError(f"{name} must be a finite {sign}number, not "
+                            f"{value!r}")
 
 
-def check_count(name: str, value, least: int) -> None:
-    """A `ScenarioError` naming `name` unless `value` is an integer of at
-    least `least`: a bool, a float or a string would be taken as 1, slice
-    wrongly or raise mid-run."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ScenarioError(f"{name} must be an integer >= {least}, not "
+def check_count(name: str, value, least: int | None = None) -> None:
+    """A `ScenarioError` naming `name` unless `value` is an integer, of at
+    least `least` if one is given: a bool, a float or a string would be
+    taken as 1, slice wrongly or raise mid-run."""
+    kind = value.__class__
+    if not (kind is int or kind is not bool and isinstance(value, int)) or (
+            least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ScenarioError(f"{name} must be an integer{bound}, not "
                             f"{value!r}")
 
 
@@ -118,19 +112,21 @@ class Node:
     def __post_init__(self):
         if self.kind not in NODE_KINDS:
             raise ScenarioError(f"unknown node kind {self.kind!r}")
-        if not all(map(_nonnegative, self.capacity)):
-            raise ScenarioError(f"node {self.id}: capacity must be finite "
-                                "and non-negative")
-        if self.kind != CLOUD and not self.capacity.is_zero():
+        cloud = self.kind == CLOUD
+        try:
+            for amount in self.capacity:
+                check_number("capacity", amount, nonnegative=True)
+            # the M/M/1 term of every request placed at a cloud divides
+            # by it
+            check_number("service_rate", self.service_rate,
+                         nonnegative=not cloud)
+        except ScenarioError as exc:
+            raise ScenarioError(f"node {self.id}: {exc}") from None
+        if not cloud and not self.capacity.is_zero():
             raise ScenarioError(f"non-cloud node {self.id} has capacity")
-        if self.kind != CLOUD and (self.service_rate.__class__ is bool
-                                   or self.service_rate != 0):
+        if not cloud and self.service_rate != 0:
             raise ScenarioError(f"non-cloud node {self.id}: service_rate "
                                 f"must be 0, not {self.service_rate!r}")
-        # the M/M/1 term of every request placed there divides by it
-        if self.kind == CLOUD and not _positive(self.service_rate):
-            raise ScenarioError(f"cloud {self.id}: service_rate must be "
-                                "finite and positive")
 
 
 @dataclass(frozen=True)
@@ -141,10 +137,12 @@ class Link:
     capacity_bw: float            # Gbps
 
     def __post_init__(self):
-        for name in ("service_rate_mu", "capacity_bw"):
-            if not _positive(getattr(self, name)):
-                raise ScenarioError(f"link {self.src}->{self.dst}: {name} "
-                                    "must be finite and positive")
+        try:
+            check_number("service_rate_mu", self.service_rate_mu)
+            check_number("capacity_bw", self.capacity_bw)
+        except ScenarioError as exc:
+            raise ScenarioError(f"link {self.src}->{self.dst}: {exc}") \
+                from None
 
     @property
     def key(self):
@@ -201,12 +199,12 @@ class VmType:
     hourly_cost: float
 
     def __post_init__(self):
-        if not all(map(_positive, self.capacity)):
-            raise ScenarioError(f"VM type {self.name}: capacity must be "
-                                "finite and strictly positive")
-        if not _positive(self.hourly_cost):
-            raise ScenarioError(f"VM type {self.name}: hourly_cost must be "
-                                "finite and positive")
+        try:
+            for amount in self.capacity:
+                check_number("capacity", amount)
+            check_number("hourly_cost", self.hourly_cost)
+        except ScenarioError as exc:
+            raise ScenarioError(f"VM type {self.name}: {exc}") from None
 
     @property
     def resource_units(self) -> float:
@@ -221,12 +219,12 @@ class ServiceClass:
     sla_delay_bound: float  # seconds
 
     def __post_init__(self):
-        if not all(map(_nonnegative, self.demand_per_10gbps)):
-            raise ScenarioError(f"class {self.name}: demand_per_10gbps must "
-                                "be finite and non-negative")
-        if not _positive(self.sla_delay_bound):
-            raise ScenarioError(f"class {self.name}: sla_delay_bound must be "
-                                "finite and positive")
+        try:
+            for amount in self.demand_per_10gbps:
+                check_number("demand_per_10gbps", amount, nonnegative=True)
+            check_number("sla_delay_bound", self.sla_delay_bound)
+        except ScenarioError as exc:
+            raise ScenarioError(f"class {self.name}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -241,16 +239,14 @@ class ServiceRequest:
 
     def __post_init__(self):
         # ids key the allocations and sort the output rows
-        if isinstance(self.id, bool) or not isinstance(self.id, int):
-            raise ScenarioError(f"request id must be an integer, not "
-                                f"{self.id!r}")
-        for name in ("volume_packets", "packet_size_bytes", "holding_time"):
-            if not _positive(getattr(self, name)):
-                raise ScenarioError(f"request {self.id}: {name} must be "
-                                    "finite and positive")
-        if not _nonnegative(self.arrival_time):
-            raise ScenarioError(f"request {self.id}: arrival_time must be "
-                                "finite and non-negative")
+        check_count("request id", self.id)
+        try:
+            check_number("volume_packets", self.volume_packets)
+            check_number("packet_size_bytes", self.packet_size_bytes)
+            check_number("arrival_time", self.arrival_time, nonnegative=True)
+            check_number("holding_time", self.holding_time)
+        except ScenarioError as exc:
+            raise ScenarioError(f"request {self.id}: {exc}") from None
 
     @property
     def rate_pps(self) -> float:
@@ -276,18 +272,17 @@ class Scenario:
 
     def __post_init__(self):
         check_number("cost_threshold", self.cost_threshold)
-        if not (_nonnegative(self.degradation_fraction)
-                and self.degradation_fraction < 1.0):
-            raise ScenarioError("degradation_fraction must be in [0, 1), "
-                                f"not {self.degradation_fraction!r}")
+        check_number("degradation_fraction", self.degradation_fraction,
+                     nonnegative=True)
+        if not self.degradation_fraction < 1.0:
+            raise ScenarioError("degradation_fraction must be below 1, not "
+                                f"{self.degradation_fraction!r}")
         check_count("k_paths", self.k_paths, 1)
         check_number("resource_cap_total", self.resource_cap_total,
                      nonnegative=True)
         # the generator's seed, which `compare` and `sweep` also seed the
         # heuristics with; `random.Random` takes any int, negative too
-        seed = self.setting("seed")
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ScenarioError(f"seed must be an integer, not {seed!r}")
+        check_count("seed", self.setting("seed"))
         for name in ("migration_eviction_limit", "migration_target_limit"):
             limit = self.setting(name)
             if limit is not None:   # None is no limit
@@ -297,15 +292,13 @@ class Scenario:
             check_number(name, self.setting(name))
         check_number("migration_overhead_s",
                      self.setting("migration_overhead_s"), nonnegative=True)
-        # any other setting: no bool, which would be taken as 1 or 0, and
-        # no NaN or inf, since a scenario that holds one cannot be saved
+        # any other setting may be a string, None or a list, but a number
+        # in it meets the same rule, of any sign
         for name, value in self.params.items():
             for item in value if isinstance(value, (list, tuple)) \
                     else (value,):
-                if item.__class__ is bool or (isinstance(item, float)
-                                              and not math.isfinite(item)):
-                    raise ScenarioError(f"params {name} must be a finite "
-                                        f"number, not {item!r}")
+                if isinstance(item, Number):
+                    check_number(name, item, signed=True)
         self._classes = {c.name: c for c in self.classes}
         self._vms = {v.name: v for v in self.vm_catalog}
         self._requests = {r.id: r for r in self.requests}

@@ -96,7 +96,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 #: the C encoder; NaN and inf raise `ValueError`, since no file that
-#: holds them loads
+#: holds them loads, and a value JSON has no type for, such as a set or
+#: a numpy integer in params, `TypeError`
 _encode = json.JSONEncoder(allow_nan=False).encode
 
 
@@ -124,6 +125,8 @@ def save_scenario(scenario: Scenario, path) -> None:
     except ValueError:
         raise ScenarioError(f"{path}: cannot write a non-finite number") \
             from None
+    except TypeError as exc:
+        raise ScenarioError(f"{path}: cannot write {exc}") from None
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

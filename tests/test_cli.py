@@ -45,6 +45,15 @@ class TestGenerate:
         scenario = load_scenario(str(out))
         assert len(scenario.requests) == 20
 
+    @pytest.mark.parametrize("load", ["0.99999", "0.004", "0.6"])
+    def test_prints_the_load_as_given(self, tmp_path, capsys, load):
+        # a percentage rounded 0.99999 up to 100% and 0.004 down to 0%
+        rc = main(["generate", "--bs", "8", "--clouds", "2",
+                   "--requests", "5", "--load", load,
+                   "--out", str(tmp_path / "gen.json")])
+        assert rc == 0
+        assert capsys.readouterr().out.rstrip().endswith(f"at load {load}")
+
 
 class TestSolveExact:
     def test_reports_objective(self, scenario_file, tmp_path, capsys):

@@ -3,7 +3,10 @@ import math
 import os
 import tempfile
 from dataclasses import fields, replace
+from decimal import Decimal
+from fractions import Fraction
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -157,6 +160,51 @@ def _scenarios(draw):
     return scenario
 
 
+def _numbers(nonnegative=False):
+    """Finite numbers above zero, or at least zero when `nonnegative`,
+    each an int, a float or a `numpy.float64`."""
+    floats = st.floats(0.0, 1e300, exclude_min=not nonnegative)
+    return st.one_of(st.integers(0 if nonnegative else 1, 2**64), floats,
+                     floats.map(np.float64))
+
+
+@st.composite
+def _built_scenarios(draw):
+    """Scenarios whose records are built in code, so that an int stands
+    where the stock records hold a float, and a `numpy.float64` too."""
+    positive, nonnegative = _numbers(), _numbers(nonnegative=True)
+    vector = lambda part: CapacityVector(*draw(st.tuples(part, part, part)))
+    bs = [f"bs{i}" for i in range(draw(st.integers(1, 3)))]
+    clouds = [f"cloud{i}" for i in range(draw(st.integers(1, 2)))]
+    nodes = [Node(n, "base_station") for n in bs] + [Node("r0", "router")]
+    nodes += [Node(n, "cloud", vector(nonnegative), draw(positive))
+              for n in clouds]
+    links = [Link(a, b, draw(positive), draw(positive))
+             for a, b in [(n, "r0") for n in bs] + [("r0", n) for n in clouds]]
+    vms = [VmType(f"vm{i}", vector(positive), draw(positive))
+           for i in range(draw(st.integers(1, 2)))]
+    classes = [ServiceClass(f"class{i}", vector(nonnegative), draw(positive))
+               for i in range(draw(st.integers(1, 2)))]
+    packet_size = draw(positive)
+    requests = [ServiceRequest(i, draw(st.sampled_from(bs)),
+                               draw(st.sampled_from(classes)).name,
+                               draw(positive), packet_size,
+                               draw(nonnegative), draw(positive))
+                for i in range(draw(st.integers(0, 4)))]
+    params = {"packet_size_bytes": packet_size,
+              "seed": draw(st.integers(-2**64, 2**64)),
+              "migration_overhead_s": draw(nonnegative),
+              "migration_link_speed_bps": draw(positive),
+              "migration_eviction_limit": draw(st.integers(0, 10)),
+              "extra": [draw(nonnegative), -draw(positive)]}
+    return Scenario(Topology(nodes, links), vms, classes, requests,
+                    cost_threshold=draw(positive),
+                    degradation_fraction=draw(st.one_of(
+                        st.just(0), st.floats(0.0, 1.0, exclude_max=True))),
+                    k_paths=draw(st.integers(1, 5)),
+                    resource_cap_total=draw(nonnegative), params=params)
+
+
 class TestFileFormat:
     @settings(max_examples=60, deadline=None)
     @given(scenario=_scenarios())
@@ -166,6 +214,23 @@ class TestFileFormat:
             save_scenario(scenario, path)
             again = load_scenario(path)
         assert scenario_to_dict(again) == scenario_to_dict(scenario)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=_built_scenarios())
+    def test_any_scenario_that_builds_can_be_saved(self, scenario):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            save_scenario(scenario, path)
+            again = load_scenario(path)
+        assert scenario_to_dict(again) == scenario_to_dict(scenario)
+
+    @pytest.mark.parametrize("value", [{1, 2}, np.int64(3)], ids=repr)
+    def test_a_param_json_cannot_hold_is_not_written(self, tmp_path, value):
+        scenario = micro_scenario(2)
+        scenario.params["extra"] = value
+        path = tmp_path / "odd.json"
+        with pytest.raises(ScenarioError, match="odd.json"):
+            save_scenario(scenario, str(path))
 
     def test_file_is_json_with_one_line_per_record(self, tmp_path):
         scenario = make_scenario(8, 2, 30, seed=5)
@@ -361,8 +426,26 @@ class TestMalformedInput:
         value = data.draw(st.sampled_from(bad))
         with pytest.raises(ScenarioError, match=name):
             scenario_from_dict(_with_leaf(as_dict, where, value))
+        # numbers that no file can hold, too
+        value = data.draw(st.sampled_from(bad + self.OTHER_NUMBERS))
         with pytest.raises(ScenarioError, match=name):
             _rebuilt_with(scenario, where, value)
+
+    #: numbers of other types than int and float
+    OTHER_NUMBERS = [Decimal("1"), Fraction(1, 2), np.int64(1),
+                     np.float32(1)]
+
+    @pytest.mark.parametrize("value", OTHER_NUMBERS, ids=repr)
+    def test_a_number_of_another_type_is_rejected_everywhere(self, value):
+        # arithmetic on a Decimal fails mid-run, and none of them can be
+        # saved
+        scenario = micro_scenario(2)
+        scenario = replace(scenario, params={**scenario.params,
+                                             "extra": [1.0, -2]})
+        for where in _number_leaves(scenario_to_dict(scenario)):
+            name = next(k for k in reversed(where) if isinstance(k, str))
+            with pytest.raises(ScenarioError, match=name):
+                _rebuilt_with(scenario, where, value)
 
     @pytest.mark.parametrize("field", ["cost_threshold",
                                        "resource_cap_total"])
