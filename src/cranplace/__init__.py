@@ -4,8 +4,8 @@ under delay, capacity, cost and queue-stability constraints."""
 from .des import SimResult, simulate_queue, simulate_tandem
 from .errors import (BudgetExceeded, CranplaceError, InfeasibleError, NoPath,
                      ScenarioError, StabilityViolation)
-from .exact import (ConstraintReport, ExactBudget, evaluate_constraints,
-                    objective, solve_exact)
+from .exact import (ConstraintReport, evaluate_constraints, objective,
+                    solve_exact)
 from .experiments import (RunReport, SweepPoint, compare_heuristics,
                           optimal_cloud_count, run_sweep)
 from .heuristics import HeuristicConfig, PlacementResult, place, sa_iterations
@@ -24,9 +24,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "CapacityVector", "ConstraintReport", "CranplaceError",
-    "DEFAULT_CLASSES", "DEFAULT_VM_CATALOG", "ExactBudget",
-    "HeuristicConfig", "InfeasibleError", "Link", "LinkParams",
-    "NoPath", "Node", "PlacementResult", "PlacementState",
+    "DEFAULT_CLASSES", "DEFAULT_VM_CATALOG", "HeuristicConfig",
+    "InfeasibleError", "Link", "LinkParams", "NoPath", "Node",
+    "PlacementResult", "PlacementState",
     "QueueLoad", "RunReport", "Scenario", "ScenarioError", "ServiceClass",
     "ServiceRequest", "SimResult", "StabilityViolation", "SweepPoint",
     "Topology", "VmType", "average_bs_cloud_hops", "build_sorted_lists",

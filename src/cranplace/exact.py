@@ -250,23 +250,22 @@ def objective(state: PlacementState, scenario: Scenario,
     return total
 
 
-@dataclass(frozen=True)
-class ExactBudget:
-    max_bs: int = 4
-    max_clouds: int = 3
-    max_vm_types: int = 2
-    max_requests: int = 12
-    max_paths: int = 3
+#: the largest instance `solve_exact` takes
+MAX_BS = 4
+MAX_CLOUDS = 3
+MAX_VM_TYPES = 2
+MAX_REQUESTS = 12
+MAX_PATHS = 3
 
 
-def _enforce_budget(scenario: Scenario, budget: ExactBudget):
+def _enforce_budget(scenario: Scenario):
     topo = scenario.topology
     checks = (
-        (len(topo.base_stations()), budget.max_bs, "base stations"),
-        (len(topo.clouds()), budget.max_clouds, "clouds"),
-        (len(scenario.vm_catalog), budget.max_vm_types, "VM types"),
-        (len(scenario.requests), budget.max_requests, "requests"),
-        (scenario.k_paths, budget.max_paths, "paths per pair"),
+        (len(topo.base_stations()), MAX_BS, "base stations"),
+        (len(topo.clouds()), MAX_CLOUDS, "clouds"),
+        (len(scenario.vm_catalog), MAX_VM_TYPES, "VM types"),
+        (len(scenario.requests), MAX_REQUESTS, "requests"),
+        (scenario.k_paths, MAX_PATHS, "paths per pair"),
     )
     for actual, limit, label in checks:
         if actual > limit:
@@ -364,11 +363,11 @@ class _PathNode(NamedTuple):
     allocations: dict[int, _Routed]
 
 
-def solve_exact(scenario: Scenario,
-                budget: ExactBudget | None = None) -> PlacementState:
+def solve_exact(scenario: Scenario) -> PlacementState:
     """Optimal placement by depth-first branch and bound; ties broken by
     the lexicographically smallest assignment vector. Every request must
-    be placed.
+    be placed. An instance larger than a `MAX_*` limit above raises
+    `BudgetExceeded`.
 
     The delay objective reads only paths and loads, so the bound runs
     over path entries alone, on `_PathNode` values. `score_child` builds
@@ -403,8 +402,7 @@ def solve_exact(scenario: Scenario,
     through their clouds, so `pack_leaf` packs each sequence of leaf
     clouds once per solve and rebuilds the vector of a later leaf with the
     same clouds."""
-    budget = budget or ExactBudget()
-    _enforce_budget(scenario, budget)
+    _enforce_budget(scenario)
     lists = build_sorted_lists(scenario.topology, scenario.k_paths)
     requests = sorted(scenario.requests, key=lambda r: r.id)
     limits = sla_limits(scenario)

@@ -128,16 +128,16 @@ def try_migrate_for_fit(state, request, lists, policy):
     `state.can_launch` allows and that the admitted request's demand fits
     on.
 
-    A target is skipped without a trial when the storage screen fails, or
-    when (a) `policy.room` finds no room for the request at any of its
-    clouds, (b) no target instance that hosts evictees would fit the
-    request with all of its evictees released, and (c) no VM type the
-    request fits on could launch at any of its clouds even after every
-    instance the evictions would empty retires
-    (`evictions_cannot_make_room`). During a trial only the target gains
-    room, through its evictees' instances and the retirement of those
-    they empty; every other cloud's room only tightens, the live cost
-    falls only by those retirements, and the resource total never falls.
+    A target is skipped without a trial only when (a) `policy.room` finds
+    no room for the request at any of its clouds, (b) no target instance
+    that hosts evictees would fit the request with all of its evictees
+    released, and (c) no VM type the request fits on could launch at any
+    of its clouds even after every instance the evictions would empty
+    retires (`evictions_cannot_make_room`). During a trial only the
+    target gains room, through its evictees' instances and the retirement
+    of those they empty; every other cloud's room only tightens, the live
+    cost falls only by those retirements, and the resource total never
+    falls.
     The request can use an instance launched during the trial, for an
     evictee or for itself, only at one of its clouds and only if it fits
     that instance's type, which `can_launch` allowed there at a state no
@@ -164,16 +164,6 @@ def try_migrate_for_fit(state, request, lists, policy):
 
     for target in target_clouds:
         evictee_ids = evictee_order(state, target)[:eviction_limit]
-        # cheap necessary condition before any trial: even after the whole
-        # eviction budget, the target must have enough total storage to hold
-        # the request (storage is never degraded on admission); summed in
-        # instance id order
-        hosted = sorted(iid for _, iid in state.residual_index[target])
-        avail = state.residual_cloud[target].storage + sum(
-            state.instances[iid].residual.storage for iid in hosted) + sum(
-            state.allocations[r].consumed.storage for r in evictee_ids)
-        if demand.storage > avail:
-            continue
         if evictions_cannot_make_room(state, demand, evictee_ids, clouds):
             # a failed trial rolls back, so the room found for the first
             # target holds for the next

@@ -4,7 +4,7 @@ classes."""
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, field, replace
 from numbers import Number
 from typing import NamedTuple
@@ -22,24 +22,38 @@ NODE_KINDS = (BASE_STATION, ROUTER, CLOUD)
 REFERENCE_GBPS = 10.0
 
 
+#: the largest finite float; an int beyond it cannot become a float
+_MAX = sys.float_info.max
+
+
+def _shown(value) -> str:
+    """`repr(value)`, or the size of an int too long for Python to print
+    (over 4300 digits by default)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"an integer of {value.bit_length()} bits"
+
+
 def check_number(name: str, value, nonnegative: bool = False,
                  signed: bool = False) -> None:
     """A `ScenarioError` naming `name` unless `value` is a finite number
     above 0, at least 0 when `nonnegative`, or of any sign when `signed`.
     A number is an int or a float, a float subclass such as
-    `numpy.float64` too: the numbers JSON writes. A bool would be taken
-    as 1 or 0; a `Decimal`, a `Fraction` or a numpy integer or float32
-    fails arithmetic mid-run or cannot be saved."""
+    `numpy.float64` too: the numbers JSON writes. It is finite when it is
+    at most the largest float in size, so an int converts to a float. A
+    bool would be taken as 1 or 0; a `Decimal`, a `Fraction` or a numpy
+    integer or float32 fails arithmetic mid-run or cannot be saved."""
     kind = value.__class__   # tested before isinstance, which is slower
     if not ((kind is float or kind is int
              or kind is not bool and isinstance(value, (int, float)))
-            and (0 < value < math.inf
+            and (0 < value <= _MAX
                  or (signed or nonnegative and value == 0)
-                 and -math.inf < value < math.inf)):
+                 and -_MAX <= value <= _MAX)):
         sign = "" if signed else \
             "non-negative " if nonnegative else "positive "
         raise ScenarioError(f"{name} must be a finite {sign}number, not "
-                            f"{value!r}")
+                            f"{_shown(value)}")
 
 
 def check_count(name: str, value, least: int | None = None) -> None:
@@ -51,7 +65,7 @@ def check_count(name: str, value, least: int | None = None) -> None:
             least is not None and value < least):
         bound = "" if least is None else f" >= {least}"
         raise ScenarioError(f"{name} must be an integer{bound}, not "
-                            f"{value!r}")
+                            f"{_shown(value)}")
 
 
 class CapacityVector(NamedTuple):

@@ -15,7 +15,6 @@ from .topology import LinkParams, bs_node_id, build_topology
 
 
 def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
-                      class_mix=None,
                       load_fraction: float = defaults.DEFAULT_LOAD_FRACTION,
                       bs_per_aggregator: int = defaults.DEFAULT_BS_PER_AGGREGATOR,
                       backhaul_gbps: float = defaults.DEFAULT_BACKHAUL_GBPS,
@@ -24,7 +23,7 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
                       holding_time: float = defaults.DEFAULT_HOLDING_TIME_S
                       ) -> list[ServiceRequest]:
     """Exponential inter-arrivals, origins uniform over base stations,
-    classes drawn from `class_mix` (uniform by default).
+    classes drawn uniformly.
 
     The arrival rate is chosen so that the long-run mean offered traffic on
     each aggregation link equals `load_fraction` of its capacity: each
@@ -42,11 +41,6 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     check_number("load_fraction", load_fraction)
     if not load_fraction < 1.0:
         raise ScenarioError("load_fraction must be in (0, 1)")
-    names = DEFAULT_CLASS_NAMES
-    if class_mix is None:
-        weights = [1.0] * len(names)
-    else:
-        weights = [float(class_mix[name]) for name in names]
 
     bits_per_request = volume_packets * packet_size_bytes * 8.0
     rate_per_link = load_fraction * backhaul_gbps * 1e9 / bits_per_request
@@ -59,7 +53,7 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     for i in range(n_requests):
         t += rng.expovariate(total_rate)
         origin = bs_node_id(rng.randrange(n_bs), n_bs)
-        cls = rng.choices(names, weights=weights, k=1)[0]
+        cls = rng.choices(DEFAULT_CLASS_NAMES)[0]
         requests.append(ServiceRequest(
             id=i, origin=origin, class_name=cls,
             volume_packets=volume_packets,

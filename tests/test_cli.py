@@ -283,6 +283,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    def test_an_int_beyond_the_float_range_is_two(self, tmp_path, capsys):
+        text = json.dumps(scenario_to_dict(micro_scenario(2)))
+        path = tmp_path / "huge.json"
+        path.write_text(text.replace('"volume_packets": 1000.0',
+                                     '"volume_packets": 1' + "0" * 400, 1))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "request 0: volume_packets" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
     def test_bad_cloud_service_rate_is_two(self, tmp_path, capsys, rate):
         data = scenario_to_dict(micro_scenario(2))

@@ -7,18 +7,19 @@ from hypothesis import given, settings, strategies as st
 from cranplace import exact
 from cranplace.errors import (BudgetExceeded, CranplaceError, InfeasibleError,
                               StabilityViolation)
-from cranplace.exact import (CONSTRAINTS, ExactBudget, evaluate_constraints,
+from cranplace.exact import (CONSTRAINTS, evaluate_constraints,
                              evaluate_node, least_delay, objective,
                              request_delay, score_child, sla_limits,
                              solve_exact)
 from cranplace.heuristics import ALL_KINDS, HeuristicConfig, place
-from cranplace.model import (CapacityVector, ServiceRequest, capacity_fits,
-                             with_requests)
+from cranplace.model import (DEFAULT_CLASSES, DEFAULT_VM_CATALOG,
+                             CapacityVector, Scenario, ServiceRequest,
+                             capacity_fits, with_requests)
 from cranplace.paths import build_sorted_lists
 from cranplace.state import PlacementState, projected_delay
-from cranplace.topology import bs_node_id
+from cranplace.topology import build_topology, bs_node_id
 
-from conftest import micro_scenario
+from conftest import micro_link_params, micro_scenario
 
 
 def _admitted_state(scenario):
@@ -184,10 +185,39 @@ class TestSolveExact:
         with pytest.raises(InfeasibleError):
             solve_exact(broke)
 
-    def test_budget_is_configurable(self, tiny_scenario):
-        tight = ExactBudget(max_requests=1)
-        with pytest.raises(BudgetExceeded):
-            solve_exact(tiny_scenario, tight)
+    #: each size `_enforce_budget` bounds, and its limit
+    LIMITS = {"base stations": exact.MAX_BS, "clouds": exact.MAX_CLOUDS,
+              "VM types": exact.MAX_VM_TYPES,
+              "requests": exact.MAX_REQUESTS,
+              "paths per pair": exact.MAX_PATHS}
+
+    @staticmethod
+    def _sized(sizes):
+        n_bs = sizes["base stations"]
+        requests = [ServiceRequest(i, bs_node_id(i % n_bs, n_bs),
+                                   "physical", 1000.0, 500.0,
+                                   arrival_time=0.001 * i,
+                                   holding_time=0.008)
+                    for i in range(sizes["requests"])]
+        return Scenario(
+            topology=build_topology(n_bs, sizes["clouds"], 2,
+                                    micro_link_params()),
+            vm_catalog=list(DEFAULT_VM_CATALOG[:sizes["VM types"]]),
+            classes=list(DEFAULT_CLASSES), requests=requests,
+            cost_threshold=10000.0, degradation_fraction=0.2,
+            k_paths=sizes["paths per pair"], resource_cap_total=50000.0,
+            params={"packet_size_bytes": 500.0})
+
+    @pytest.mark.parametrize("label", sorted(LIMITS))
+    def test_each_limit_is_enforced(self, label):
+        # an instance at every limit passes; one more of any size fails
+        exact._enforce_budget(self._sized(self.LIMITS))
+        limit = self.LIMITS[label]
+        over = self._sized({**self.LIMITS, label: limit + 1})
+        with pytest.raises(BudgetExceeded,
+                           match=f"^{limit + 1} {label} exceed the "
+                                 f"exact-search budget of {limit}$"):
+            solve_exact(over)
 
     # criterion-2 instances (seed: objective repr, (request, cloud,
     # instance, path) per request); 5, 24 and 27 are of full size

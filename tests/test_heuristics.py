@@ -165,6 +165,40 @@ class TestSaSampling:
         long_ = place(easy_scenario, HeuristicConfig("sa_long", seed=0))
         assert long_.work_units > short.work_units
 
+    def test_a_candidate_that_fails_the_screen_is_passed_over(
+            self, easy_scenario, monkeypatch):
+        # the cloud of the best-ranked path is at its service rate, so
+        # every candidate there fails the exact screen; the next-ranked
+        # candidate elsewhere is committed, with no fallback pass
+        run = _Run(easy_scenario, HeuristicConfig("sa_short", seed=0))
+        request = easy_scenario.requests[0]
+        entries = run.lists.list_for_bs(request.origin)
+        full = min(entries, key=lambda e: e.current_delay).cloud
+        assert any(e.cloud != full for e in entries)
+        run.state.cloud_load[full] = \
+            easy_scenario.topology.nodes[full].service_rate
+        screened = []
+        screen = run._entry_feasible
+
+        def recording_screen(state, request, entry):
+            delays = screen(state, request, entry)
+            screened.append((entry, delays))
+            return delays
+
+        def no_fallback(*args):
+            raise AssertionError("the sampled candidates hold a fit")
+
+        monkeypatch.setattr(run, "_entry_feasible", recording_screen)
+        monkeypatch.setattr(run, "_first_fit", no_fallback)
+        alloc = run._place_sa_request(request, 64)
+        *passed_over, (committed, delays) = screened
+        assert passed_over and all(e.cloud == full and d is None
+                                   for e, d in passed_over)
+        assert delays is not None and committed.cloud != full
+        assert alloc.path is committed
+        ranks = [e.current_delay for e, _ in screened]
+        assert ranks == sorted(ranks)
+
 
 
 def test_fit_floor_is_below_every_fitting_residual():

@@ -14,7 +14,7 @@ from cranplace.heuristics import ALL_KINDS, HeuristicConfig, _Run, place
 from cranplace.migration import (evictee_order, intercloud_link_speed,
                                  migration_time, try_migrate_for_fit)
 from cranplace.model import (CapacityVector, Scenario, ServiceRequest,
-                             VmType, capacity_fits, demand_of)
+                             Topology, VmType, capacity_fits, demand_of)
 from cranplace.paths import build_sorted_lists
 from cranplace.state import PlacementState, can_launch
 from cranplace.topology import LinkParams, build_topology
@@ -292,6 +292,40 @@ class TestIntercloudLinkSpeed:
         # core links are provisioned far above the fallback speed
         assert speed > 3e9
 
+    def test_no_path_falls_back_and_is_cached(self):
+        # without the core link the two clouds are in separate components
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")],
+                                       migration_link_speed_bps=3e9)
+        topo = scenario.topology
+        cut = Topology(topo.nodes.values(),
+                       [l for l in topo.links.values()
+                        if {l.src, l.dst} != {"head0", "head1"}])
+        state = PlacementState(replace(scenario, topology=cut))
+        cache = {}
+        assert intercloud_link_speed(state, "cloud0", "cloud1", cache) == 3e9
+        assert cache == {("cloud0", "cloud1"): None}
+        with mock.patch.object(migration, "k_shortest_paths") as search:
+            assert intercloud_link_speed(state, "cloud0", "cloud1",
+                                         cache) == 3e9
+        assert not search.called
+
+    def test_a_saturated_path_falls_back(self):
+        scenario = _two_cloud_scenario([_req(0, "bs0", "physical")],
+                                       migration_link_speed_bps=3e9)
+        state = PlacementState(scenario)
+        cache = {}
+        intercloud_link_speed(state, "cloud0", "cloud1", cache)
+        (key, bw), *_ = cache[("cloud0", "cloud1")]
+        # the link's capacity in packets/s at the scenario's packet size
+        full = bw * 1e9 / (scenario.setting("packet_size_bytes") * 8.0)
+        state.link_load[key] = full / 2
+        assert intercloud_link_speed(state, "cloud0", "cloud1",
+                                     cache) == pytest.approx(bw / 2 * 1e9)
+        for load in (full, 2 * full):
+            state.link_load[key] = load
+            assert intercloud_link_speed(state, "cloud0", "cloud1",
+                                         cache) == 3e9
+
 
 # Criterion 4's scenario at 500 requests with cloud capacity cut to 60%:
 # every heuristic drops and migrates past request 360 or so. Per kind:
@@ -512,10 +546,14 @@ def test_criterion_4_default_bnb_plain_is_pinned():
 if __name__ == "__main__":
     # each kind's place() on criterion 4's default scenario and on the
     # 500-request saturated scenario above: wall time, drops, migrations,
-    # work units and the migration trials opened, counted as outermost
-    # checkpoints; the figures quoted for a change to the migration trials
-    trials = 0
+    # work units, the migration trials opened, counted as outermost
+    # checkpoints, and the targets considered, counted as calls of
+    # `evictee_order`, which runs once per target; a target considered and
+    # not tried was skipped by the room screen. The figures quoted for a
+    # change to the migration trials
+    trials = targets = 0
     _checkpoint = PlacementState.checkpoint
+    _evictee_order = migration.evictee_order
 
     def _counted_checkpoint(state):
         global trials
@@ -523,12 +561,19 @@ if __name__ == "__main__":
             trials += 1
         return _checkpoint(state)
 
+    def _counted_evictee_order(state, cloud):
+        global targets
+        targets += 1
+        return _evictee_order(state, cloud)
+
     PlacementState.checkpoint = _counted_checkpoint
+    migration.evictee_order = _counted_evictee_order
     for name, scenario in (("default", make_scenario(50, 5, 10000, seed=42)),
                            ("saturated", _saturated_scenario())):
         for kind in ALL_KINDS:
-            trials = 0
+            trials = targets = 0
             r = place(scenario, HeuristicConfig(kind, seed=42))
             print(f"{name} {kind}: {r.wall_time:.2f} s, dropped "
                   f"{r.dropped}, migrations {r.migrations}, work_units "
-                  f"{r.work_units}, trials {trials}")
+                  f"{r.work_units}, trials {trials}, targets {targets}, "
+                  f"skipped {targets - trials}")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import fields, replace
 from decimal import Decimal
@@ -446,6 +447,35 @@ class TestMalformedInput:
             name = next(k for k in reversed(where) if isinstance(k, str))
             with pytest.raises(ScenarioError, match=name):
                 _rebuilt_with(scenario, where, value)
+
+    @pytest.mark.parametrize(
+        "where", [w for w in NUMBER_FIELDS if w[-1] != "id"],
+        ids=lambda w: ".".join(map(str, w)))
+    def test_an_int_beyond_the_float_range_is_rejected_by_name(
+            self, tmp_path, where):
+        # it would build, then fail converting to a float mid-run
+        scenario = micro_scenario(2)
+        data = _with_leaf(scenario_to_dict(scenario), where, 10 ** 400)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        assert "1" + "0" * 400 in path.read_text()
+        name = next(k for k in reversed(where) if isinstance(k, str))
+        with pytest.raises(ScenarioError, match=name):
+            load_scenario(str(path))
+        # past Python's 4300-digit int-to-str limit too, where the message
+        # gives the int's size
+        with pytest.raises(ScenarioError,
+                           match=f"{name}.*integer of 16610 bits"):
+            _rebuilt_with(scenario, where, 10 ** 5000)
+
+    def test_the_largest_float_as_an_int_is_accepted(self):
+        # the bound is inclusive: this int converts to a float exactly
+        top = int(sys.float_info.max)
+        assert float(top) == sys.float_info.max
+        replace(micro_scenario(2), cost_threshold=top,
+                resource_cap_total=top)
+        with pytest.raises(ScenarioError, match="cost_threshold"):
+            replace(micro_scenario(2), cost_threshold=top + 1)
 
     @pytest.mark.parametrize("field", ["cost_threshold",
                                        "resource_cap_total"])

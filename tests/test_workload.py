@@ -43,11 +43,12 @@ class TestGenerateWorkload:
         offered_gbps = bits / span / 1e9 / n_agg
         assert offered_gbps == pytest.approx(load * 40.0, rel=0.05)
 
-    def test_class_mix_respected(self):
-        mix = {name: 0.0 for name in DEFAULT_CLASS_NAMES}
-        mix["physical"] = 1.0
-        reqs = generate_workload(4, 100, seed=0, class_mix=mix)
-        assert all(r.class_name == "physical" for r in reqs)
+    def test_classes_are_drawn_uniformly(self):
+        reqs = generate_workload(4, 20_000, seed=0)
+        for name in DEFAULT_CLASS_NAMES:
+            share = sum(r.class_name == name for r in reqs) / len(reqs)
+            assert share == pytest.approx(1 / len(DEFAULT_CLASS_NAMES),
+                                          rel=0.05)
 
     def test_validation(self):
         with pytest.raises(ScenarioError):
