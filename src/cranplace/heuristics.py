@@ -213,13 +213,24 @@ class _Run:
         if kind in SA_KINDS:
             # random-fit: bounded probe scan from a seeded random offset
             lst = self.state.residual_index[cloud]
-            if not lst:
+            n = len(lst)
+            if not n:
                 return None
-            start = self.rng.randrange(len(lst))
-            for j in range(min(len(lst), _SA_PROBE_LIMIT)):
+            # Random.randrange(n), replayed as `_place_sa_request` does
+            getrandbits = self.rng.getrandbits
+            k = n.bit_length()
+            start = getrandbits(k)
+            while start >= n:
+                start = getrandbits(k)
+            # capacity_fits(demand, residual, self.degradation), unrolled
+            need_cpu, need_storage, need_network, _ = self._fit(demand).needs
+            instances = self.state.instances
+            for j in range(min(n, _SA_PROBE_LIMIT)):
                 self.work += 1
-                inst = self.state.instances[lst[(start + j) % len(lst)][1]]
-                if capacity_fits(demand, inst.residual, self.degradation):
+                inst = instances[lst[(start + j) % n][1]]
+                r = inst.residual
+                if (r.storage >= need_storage and r.cpu >= need_cpu
+                        and r.network >= need_network):
                     return inst
             return None
         if kind == BNB_PLAIN:

@@ -53,15 +53,11 @@ def intercloud_link_speed(state, src_cloud: str, dst_cloud: str,
     return residual * 1e9
 
 
-def evictee_order(state, cloud: str) -> list[int]:
-    """Ids of the requests hosted at `cloud`, least consumed demand (cpu +
-    storage + network) first, ties by id, read from the cloud's own
-    instances."""
-    instances = state.instances
-    return [rid for _, rid in sorted(
-        (c.cpu + c.storage + c.network, rid)
-        for _, iid in state.residual_index[cloud]
-        for rid, c in instances[iid].assigned.items())]
+def evictee_order(state, cloud: str, limit: int | None = None) -> list[int]:
+    """Ids of the first `limit` (None: all) requests hosted at `cloud`,
+    least consumed demand (cpu + storage + network) first, ties by id,
+    read from the state's `evictee_index`."""
+    return [rid for _, rid in state.evictee_index[cloud][:limit]]
 
 
 def evictions_cannot_make_room(state, demand, evictee_ids, clouds) -> bool:
@@ -96,12 +92,13 @@ def evictions_cannot_make_room(state, demand, evictee_ids, clouds) -> bool:
             vm = inst.vm_type
             residual_cloud[inst.cloud] += vm.capacity
             live_cost -= vm.hourly_cost
+    scaled = [residual_cloud[cloud].scale(1.0 + 1e-9) for cloud in clouds]
     return not any(
-        launch_allowed(scenario, residual_cloud[cloud].scale(1.0 + 1e-9),
-                       state.resources_used, live_cost, vm)
+        launch_allowed(scenario, residual, state.resources_used, live_cost,
+                       vm)
         for vm in scenario.vm_catalog
         if capacity_fits(demand, vm.capacity, degradation)
-        for cloud in clouds)
+        for residual in scaled)
 
 
 def try_migrate_for_fit(state, request, lists, policy):
@@ -163,7 +160,7 @@ def try_migrate_for_fit(state, request, lists, policy):
     no_room = None   # (a), found when first needed
 
     for target in target_clouds:
-        evictee_ids = evictee_order(state, target)[:eviction_limit]
+        evictee_ids = evictee_order(state, target, eviction_limit)
         if evictions_cannot_make_room(state, demand, evictee_ids, clouds):
             # a failed trial rolls back, so the room found for the first
             # target holds for the next

@@ -140,14 +140,19 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         text = fh.read()
     try:
-        data = json.loads(text, parse_constant=reject)
-    except json.JSONDecodeError:
-        import yaml   # only a file that is not JSON needs it
         try:
-            data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
-                                                  yaml.SafeLoader))
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"{path}: malformed YAML: {exc}") from exc
+            data = json.loads(text, parse_constant=reject)
+        except json.JSONDecodeError:
+            import yaml   # only a file that is not JSON needs it
+            try:
+                data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader",
+                                                      yaml.SafeLoader))
+            except yaml.YAMLError as exc:
+                raise ScenarioError(f"{path}: malformed YAML: {exc}") \
+                    from exc
+    except ValueError as exc:
+        # either parser: e.g. an int of more digits than Python reads
+        raise ScenarioError(f"{path}: unreadable value: {exc}") from None
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: not a scenario file")
     return scenario_from_dict(data)

@@ -1,8 +1,9 @@
 """Mutable placement state: allocations, live VM instances, residual
-capacities, queue loads, run counters, each cloud's launch record, a
-per-cloud index of instances by remaining capacity, and an undo journal
-for trial changes; and the admission rules every solver reads them by:
-a request's delay on a path, its SLA limit, and the VM launch test."""
+capacities, queue loads, run counters, each cloud's launch record, two
+per-cloud indexes (instances by remaining capacity, allocations by
+consumed demand) and an undo journal for trial changes; and the admission
+rules every solver reads them by: a request's delay on a path, its SLA
+limit, and the VM launch test."""
 
 from __future__ import annotations
 
@@ -100,6 +101,10 @@ class PlacementState:
         # live instances of each cloud as (residual_key, id), ascending
         self.residual_index: dict[str, list[tuple[float, int]]] = {
             cloud: [] for cloud in self.residual_cloud}
+        # allocations of each cloud as (consumed cpu + storage + network,
+        # request id), ascending: the order migration evicts them in
+        self.evictee_index: dict[str, list[tuple[float, int]]] = {
+            cloud: [] for cloud in self.residual_cloud}
         # request id -> demand_of(request); a pure function of the
         # scenario, so clones share it and rollbacks leave it alone
         self._demands: dict[int, CapacityVector] = {}
@@ -150,33 +155,32 @@ class PlacementState:
         else:
             self._journal.append((d.__setitem__, (key, old)))
 
-    # -- per-cloud index ---------------------------------------------------
+    # -- per-cloud indexes -------------------------------------------------
 
-    def _index_insert(self, inst: VmInstance) -> None:
-        lst = self.residual_index[inst.cloud]
-        item = (residual_key(inst.residual), inst.id)
+    def _index_insert(self, lst: list, item: tuple) -> None:
+        """Insert `item` into the ascending index `lst`, journaled."""
         pos = bisect_left(lst, item)
         lst.insert(pos, item)
         if self._journal is not None:
             self._journal.append((lst.pop, (pos,)))
 
-    def _index_remove(self, inst: VmInstance) -> None:
-        lst = self.residual_index[inst.cloud]
-        item = (residual_key(inst.residual), inst.id)
+    def _index_remove(self, lst: list, item: tuple) -> None:
+        """Remove `item` from the ascending index `lst`, journaled."""
         pos = bisect_left(lst, item)
         if pos == len(lst) or lst[pos] != item:
-            raise CranplaceError("VM index out of sync")
+            raise CranplaceError("index out of sync")
         del lst[pos]
         if self._journal is not None:
             self._journal.append((lst.insert, (pos, item)))
 
     def _set_residual(self, inst: VmInstance,
                       residual: CapacityVector) -> None:
-        self._index_remove(inst)
+        lst = self.residual_index[inst.cloud]
+        self._index_remove(lst, (residual_key(inst.residual), inst.id))
         if self._journal is not None:
             self._journal.append((setattr, (inst, "residual", inst.residual)))
         inst.residual = residual
-        self._index_insert(inst)
+        self._index_insert(lst, (residual_key(residual), inst.id))
 
     # -- instance lifecycle ------------------------------------------------
 
@@ -194,7 +198,8 @@ class PlacementState:
         self.instances[inst.id] = inst
         launched.append(inst.id)
         self.residual_cloud[cloud] = residual - vm_type.capacity
-        self._index_insert(inst)
+        self._index_insert(self.residual_index[cloud],
+                           (residual_key(inst.residual), inst.id))
         self.instances_launched += 1
         self.resources_used += vm_type.resource_units
         self.cost_accrued += vm_type.hourly_cost
@@ -206,7 +211,8 @@ class PlacementState:
         if inst.assigned:
             raise CranplaceError(f"instance {instance_id} still has "
                                  "assignments")
-        self._index_remove(inst)
+        self._index_remove(self.residual_index[inst.cloud],
+                           (residual_key(inst.residual), inst.id))
         if self._journal is not None:
             self._journal.append((self.instances.__setitem__,
                                   (instance_id, inst)))
@@ -254,6 +260,9 @@ class PlacementState:
             self._save(self.cloud_load, inst.cloud)
         self._set_residual(inst, new_residual)
         inst.assigned[request.id] = consumed
+        self._index_insert(self.evictee_index[inst.cloud],
+                           (consumed.cpu + consumed.storage + consumed.network,
+                            request.id))
         alloc = Allocation(request.id, inst.cloud, instance_id, path,
                            consumed, request.rate_pps)
         self.allocations[request.id] = alloc
@@ -283,6 +292,10 @@ class PlacementState:
                 self._save(self.link_load, key)
             self._save(self.cloud_load, alloc.cloud)
         del inst.assigned[request_id]
+        consumed = alloc.consumed
+        self._index_remove(self.evictee_index[alloc.cloud],
+                           (consumed.cpu + consumed.storage + consumed.network,
+                            request_id))
         if inst.assigned:
             self._set_residual(inst, inst.residual + alloc.consumed)
         else:
@@ -332,6 +345,8 @@ class PlacementState:
                           in self.launched.items()}
         other.residual_index = {cloud: list(lst) for cloud, lst
                                 in self.residual_index.items()}
+        other.evictee_index = {cloud: list(lst) for cloud, lst
+                               in self.evictee_index.items()}
         other._demands = self._demands
         other._journal = None
         return other

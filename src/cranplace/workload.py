@@ -42,10 +42,16 @@ def generate_workload(n_bs: int, n_requests: int, seed: int = 0,
     if not load_fraction < 1.0:
         raise ScenarioError("load_fraction must be in (0, 1)")
 
-    bits_per_request = volume_packets * packet_size_bytes * 8.0
+    try:
+        bits_per_request = volume_packets * packet_size_bytes * 8.0
+    except OverflowError:   # an int product past the float range
+        bits_per_request = math.inf
     rate_per_link = load_fraction * backhaul_gbps * 1e9 / bits_per_request
     n_agg = math.ceil(n_bs / bs_per_aggregator)
     total_rate = rate_per_link * n_agg
+    if not total_rate > 0.0:
+        raise ScenarioError("volume_packets * packet_size_bytes is too "
+                            "large: no arrival rate reaches load_fraction")
 
     rng = random.Random(seed)
     requests = []

@@ -13,6 +13,7 @@ from cranplace import paths
 from cranplace.cli import HEURISTIC_NAMES, main
 from cranplace.scenario_io import (load_scenario, save_scenario,
                                    scenario_to_dict)
+from cranplace.workload import make_scenario
 
 from conftest import micro_scenario
 
@@ -293,6 +294,34 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert "request 0: volume_packets" in err and "Traceback" not in err
+
+    def test_an_int_too_long_to_read_is_two(self, tmp_path, capsys):
+        data = scenario_to_dict(micro_scenario(2))
+        data["cost_threshold"] = 12345.0
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data).replace("12345.0",
+                                                 "1" + "0" * 5000))
+        rc = main(["place", "--scenario", str(path), "--heuristic", "bnb",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: unreadable value" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("size", [10 ** 200, 1e200],
+                             ids=["int", "float"])
+    def test_a_sweep_payload_past_the_float_range_is_two(self, tmp_path,
+                                                         capsys, size):
+        # the sweep regenerates the workload from the file's params
+        data = scenario_to_dict(make_scenario(8, 2, 20, seed=1))
+        for record in [data["params"], *data["requests"]]:
+            record["volume_packets"] = record["packet_size_bytes"] = size
+        path = tmp_path / "payload.json"
+        path.write_text(json.dumps(data))
+        rc = main(["sweep", "--scenario", str(path), "--clouds", "1..2",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "volume_packets" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("rate", [0, -5.0, float("nan"), float("inf")])
     def test_bad_cloud_service_rate_is_two(self, tmp_path, capsys, rate):

@@ -561,10 +561,10 @@ if __name__ == "__main__":
             trials += 1
         return _checkpoint(state)
 
-    def _counted_evictee_order(state, cloud):
+    def _counted_evictee_order(state, cloud, limit=None):
         global targets
         targets += 1
-        return _evictee_order(state, cloud)
+        return _evictee_order(state, cloud, limit)
 
     PlacementState.checkpoint = _counted_checkpoint
     migration.evictee_order = _counted_evictee_order

@@ -468,6 +468,20 @@ class TestMalformedInput:
                            match=f"{name}.*integer of 16610 bits"):
             _rebuilt_with(scenario, where, 10 ** 5000)
 
+    @pytest.mark.parametrize("suffix, dump", [
+        (".json", json.dumps), (".yaml", yaml.safe_dump)])
+    def test_an_int_too_long_to_read_names_the_file(self, tmp_path, suffix,
+                                                      dump):
+        # Python reads no int of more than 4300 digits from text
+        data = scenario_to_dict(micro_scenario(2))
+        data["cost_threshold"] = 12345.0
+        path = tmp_path / ("long" + suffix)
+        path.write_text(dump(data).replace("12345.0", "1" + "0" * 5000))
+        assert "0" * 5000 in path.read_text()
+        with pytest.raises(ScenarioError,
+                           match=f"{path}: unreadable value.*4300"):
+            load_scenario(str(path))
+
     def test_the_largest_float_as_an_int_is_accepted(self):
         # the bound is inclusive: this int converts to a float exactly
         top = int(sys.float_info.max)

@@ -128,6 +128,28 @@ class TestCloneAndSignature:
         assert state.signature() == sig
         assert other.signature() != sig
 
+    def test_clone_copies_both_indexes(self, tiny_scenario):
+        state = PlacementState(tiny_scenario)
+        req = tiny_scenario.requests[0]
+        entry = _entry_for(tiny_scenario, req)
+        inst = state.launch_instance(entry.cloud, tiny_scenario.vm_catalog[0])
+        state.admit(req, inst.id, entry)
+        residual_index = {c: list(lst)
+                          for c, lst in state.residual_index.items()}
+        evictee_index = {c: list(lst)
+                         for c, lst in state.evictee_index.items()}
+        other = state.clone()
+        assert other.residual_index == residual_index
+        assert other.evictee_index == evictee_index
+        c = state.allocations[req.id].consumed
+        assert other.evictee_index[entry.cloud] == [
+            (c.cpu + c.storage + c.network, req.id)]
+        other.release(req.id)
+        assert not other.evictee_index[entry.cloud]
+        assert not other.residual_index[entry.cloud]
+        assert state.residual_index == residual_index
+        assert state.evictee_index == evictee_index
+
     def test_signature_detects_load_changes(self, tiny_scenario):
         state = PlacementState(tiny_scenario)
         sig = state.signature()
@@ -185,6 +207,7 @@ def _snapshot(state):
         {iid: (inst.cloud, inst.residual, dict(inst.assigned))
          for iid, inst in state.instances.items()},
         {cloud: list(lst) for cloud, lst in state.residual_index.items()},
+        {cloud: list(lst) for cloud, lst in state.evictee_index.items()},
         {cloud: list(ids) for cloud, ids in state.launched.items()},
         (state.migrations, state.instances_launched, state.resources_used,
          state.cost_accrued, state.live_cost()),
@@ -196,6 +219,19 @@ def _rebuilt_index(state):
     for inst in state.instances.values():
         index[inst.cloud].append((residual_key(inst.residual), inst.id))
     return {cloud: sorted(lst) for cloud, lst in index.items()}
+
+
+def _rebuilt_evictee_index(state):
+    index = {cloud: [] for cloud in state.residual_cloud}
+    for rid, alloc in state.allocations.items():
+        c = alloc.consumed
+        index[alloc.cloud].append((c.cpu + c.storage + c.network, rid))
+    return {cloud: sorted(lst) for cloud, lst in index.items()}
+
+
+def _indexes_in_sync(state):
+    return (state.residual_index == _rebuilt_index(state)
+            and state.evictee_index == _rebuilt_evictee_index(state))
 
 
 _steps = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1000),
@@ -217,14 +253,14 @@ def test_rollback_restores_state_exactly(scenario, before, outer, inner,
     at_inner = _snapshot(state)
     inner_mark = state.checkpoint()
     _apply(state, lists, inner)
-    assert state.residual_index == _rebuilt_index(state)
+    assert _indexes_in_sync(state)
     state.rollback(inner_mark)
     assert _snapshot(state) == at_inner
     assert state._journal is not None   # the outer mark is still open
     _apply(state, lists, after)
     state.rollback(outer_mark)
     assert _snapshot(state) == at_outer
-    assert state.residual_index == _rebuilt_index(state)
+    assert _indexes_in_sync(state)
     assert state._journal is None
 
 
@@ -241,7 +277,7 @@ def test_commit_keeps_what_an_unjournaled_run_gives(scenario, before, trial):
     state.commit(mark)
     assert state._journal is None
     assert _snapshot(state) == _snapshot(plain)
-    assert state.residual_index == _rebuilt_index(state)
+    assert _indexes_in_sync(state)
 
 
 def test_rollback_reuses_the_instance_id(tiny_scenario):

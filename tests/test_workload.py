@@ -58,6 +58,15 @@ class TestGenerateWorkload:
         with pytest.raises(ScenarioError):
             generate_workload(4, 10, load_fraction=1.0)
 
+    @pytest.mark.parametrize("size", [10 ** 200, 1e200],
+                             ids=["int", "float"])
+    def test_a_payload_past_the_float_range_is_named(self, size):
+        # each factor is in range; the int product cannot become a float,
+        # and the float product is inf, which leaves no arrival rate
+        with pytest.raises(ScenarioError, match="volume_packets"):
+            generate_workload(8, 10, volume_packets=size,
+                              packet_size_bytes=size)
+
 
 class TestLinkParamsFrom:
     def test_defaults_fill_in(self):
